@@ -200,13 +200,14 @@ def sup_norm_estimate(fld: SpectralField, grid_size: int | None = None) -> float
     return float(np.max(np.abs(_synthesize_raw(fld.coeffs, grid_size))))
 
 
-def dealias_grid_size(n_modes: int, factor: int = 4) -> int:
-    """Grid size used for pointwise nonlinearity evaluation.
+def dealias_grid_size(n_modes: int) -> int:
+    """Grid size on which the cubic of an N-mode field projects exactly.
 
-    factor * n_modes - 1 keeps the underlying FFT length 2 (K + 1) a power
-    of two for dyadic mode counts; the result never drops below the 3 N
-    modes carried by a cubic, so the quadrature projection remains exact.
+    The cube of an N-mode sine polynomial reaches mode 3N, and a DST-I on K
+    points folds mode m onto 2 (K + 1) - m, so modes 1..N stay exact if and
+    only if K + 1 > 2 N (the sine-basis form of Orszag's anti-aliasing rule).
+    K = 5 ceil(N / 2) - 1 meets that bound with an FFT length
+    2 (K + 1) = 5 * 2 ceil(N / 2), which is smooth for dyadic mode counts;
+    K = 2 N itself can give an FFT length with a large prime factor.
     """
-    if factor < 3:
-        raise ValueError("dealiasing factor must be at least 3")
-    return max(factor * n_modes - 1, 3 * n_modes)
+    return 5 * ((n_modes + 1) // 2) - 1

@@ -75,7 +75,7 @@ def step(state: SchemeState, params: ModelParams, noise_increments,
     noise = np.asarray(noise_increments, dtype=np.float64)
     if noise.shape != (n,):
         raise ValueError(f"noise_increments must have length {n}, got shape {noise.shape}")
-    grid = _resolve_grid(n, grid_size)
+    grid = _resolve_grid(params, n, grid_size)
     coeffs = state.field.coeffs
     if tamed:
         drift = _tamed_drift_raw(params, coeffs, state.tau, grid)
@@ -124,7 +124,7 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
                 f"increments must have shape {(n_steps, n_modes)}, got {increments.shape}"
             )
     tau = params.horizon_T / n_steps
-    grid = _resolve_grid(n_modes, grid_size)
+    grid = _resolve_grid(params, n_modes, grid_size)
     decay = semigroup_factors(n_modes, tau)
     weights = phi_factors(n_modes, tau)
     wanted = set(record_steps)

@@ -20,18 +20,18 @@ def cubic_sine_expansion(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n = coeffs.shape[0]
     idx = np.arange(1, n + 1)
-    a, b, c = np.meshgrid(idx, idx, idx, indexing="ij")
-    w = 0.5 * np.einsum("i,j,k->ijk", coeffs, coeffs, coeffs)
-    out = np.zeros(3 * n)
-    for modes, sign in ((c + a - b, 1.0), (c - a + b, 1.0),
-                        (c + a + b, -1.0), (c - a - b, -1.0)):
-        m = modes.ravel()
-        contrib = sign * w.ravel()
-        pos = m > 0
-        neg = m < 0
-        np.add.at(out, m[pos] - 1, contrib[pos])
-        np.add.at(out, -m[neg] - 1, -contrib[neg])
-    return out
+    b, c = np.meshgrid(idx, idx, indexing="ij")
+    bc = 0.5 * np.outer(coeffs, coeffs).ravel()
+    out = np.zeros(3 * n + 1)
+    # One slice of the triple sum per index a keeps memory at O(N^2).
+    for a, ca in zip(idx, coeffs):
+        w = ca * bc
+        for modes, sign in ((c + a - b, 1.0), (c - a + b, 1.0),
+                            (c + a + b, -1.0), (c - a - b, -1.0)):
+            m = modes.ravel()
+            out += np.bincount(np.abs(m), weights=sign * np.sign(m) * w,
+                               minlength=3 * n + 1)
+    return out[1:]
 
 
 def odd_drift_expansion(coeffs: np.ndarray, a3: float, a1: float) -> np.ndarray:

@@ -4,11 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tamedac import (
+    GridField,
     ModelParams,
     SpectralField,
+    analyze,
     eval_poly,
     l2_norm,
     nonlinearity_galerkin,
+    simulate_path,
     synthesize,
     tamed_drift,
 )
@@ -103,7 +106,61 @@ class TestNonlinearityGalerkin:
 
     def test_rejects_aliasing_grid(self, double_well):
         with pytest.raises(ValueError):
-            nonlinearity_galerkin(double_well, SpectralField.zeros(8), grid_size=23)
+            nonlinearity_galerkin(double_well, SpectralField.zeros(8), grid_size=15)
+
+
+class TestDealiasingBound:
+    """A DST-I on K points keeps modes 1..N of the cubic exact iff K + 1 > 2N."""
+
+    @staticmethod
+    def odd_problem(seed):
+        rng = np.random.default_rng(seed)
+        a3, a1 = -float(rng.uniform(0.2, 3.0)), float(rng.uniform(-2.0, 2.0))
+        params = ModelParams(a3=a3, a2=0.0, a1=a1, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        return params, rng
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 64, 127, 256])
+    def test_exact_at_bound_and_default_grid(self, n):
+        params, rng = self.odd_problem(n)
+        coeffs = rng.standard_normal(n) * 0.8
+        expected = odd_drift_expansion(coeffs, params.a3, params.a1)
+        scale = np.max(np.abs(expected))
+        for grid_size in (2 * n, None):
+            out = nonlinearity_galerkin(params, SpectralField(coeffs), grid_size=grid_size)
+            assert np.max(np.abs(out.coeffs - expected)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_aliases_below_bound(self, n):
+        # At K + 1 = 2N mode 3N folds onto mode N, so a nonzero top mode
+        # corrupts the projection; the library refuses that grid.
+        params, rng = self.odd_problem(100 + n)
+        coeffs = rng.standard_normal(n) * 0.8
+        coeffs[-1] = 1.0
+        k = 2 * n - 1
+        values = synthesize(SpectralField(coeffs), k).values
+        aliased = analyze(GridField(eval_poly(params, values)), n).coeffs
+        expected = odd_drift_expansion(coeffs, params.a3, params.a1)
+        assert np.max(np.abs(aliased - expected)) > 1e-6
+        with pytest.raises(ValueError):
+            nonlinearity_galerkin(params, SpectralField(coeffs), grid_size=k)
+
+
+def test_even_content_keeps_wide_grid():
+    # Drifts with a2 or a0 nonzero default to K = 4N - 1, bit for bit.
+    params = ModelParams(a3=-1.0, a2=0.8, a1=1.0, a0=0.3, horizon_T=1.0,
+                         initial_data=SpectralField([0.5, -0.2, 0.1]))
+    n = 16
+    k = 4 * n - 1
+    fld = SpectralField(np.random.default_rng(4).standard_normal(n) * 0.5)
+    assert (nonlinearity_galerkin(params, fld).coeffs.tobytes()
+            == nonlinearity_galerkin(params, fld, grid_size=k).coeffs.tobytes())
+    assert (tamed_drift(params, fld, 0.01).coeffs.tobytes()
+            == tamed_drift(params, fld, 0.01, grid_size=k).coeffs.tobytes())
+    increments = np.random.default_rng(5).standard_normal((16, n)) * 0.05
+    default = simulate_path(params, n, 16, increments).terminal.coeffs
+    explicit = simulate_path(params, n, 16, increments, grid_size=k).terminal.coeffs
+    assert default.tobytes() == explicit.tobytes()
 
 
 class TestTamedDrift:
@@ -156,6 +213,22 @@ class TestTamedDrift:
                 assert np.all(np.isfinite(out.coeffs))
                 assert l2_norm(out) == pytest.approx(1.0 / tau, rel=1e-9)
                 assert out.coeffs @ direction == pytest.approx(l2_norm(out), rel=1e-12)
+
+    @pytest.mark.parametrize("a3", [-1e200, -1e300])
+    def test_huge_coefficient_saturates(self, a3):
+        # ||q_N||^2 overflows here although the projected drift is finite;
+        # the tamed drift must still saturate along the cubic's direction.
+        params = ModelParams(a3=a3, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        coeffs = np.array([1.0, 1.0, -1.0])
+        direction = odd_drift_expansion(coeffs, -1.0, 0.0)
+        direction /= np.linalg.norm(direction)
+        for tau in (1e-3, 0.01, 1.0):
+            out = tamed_drift(params, SpectralField(coeffs), tau)
+            assert l2_norm(out) == pytest.approx(1.0 / tau, rel=1e-9)
+            assert out.coeffs @ direction == pytest.approx(l2_norm(out), rel=1e-12)
+        out = tamed_drift(params, SpectralField([1.0]), 0.01)
+        assert out.coeffs == pytest.approx([-100.0], rel=1e-9)
 
     def test_moderate_field_strictly_below_bound(self, double_well):
         out = tamed_drift(double_well, SpectralField([3.0, -2.0]), tau=0.5)

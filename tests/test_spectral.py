@@ -262,8 +262,11 @@ class TestFieldTypes:
 
 
 def test_dealias_grid_size():
-    assert dealias_grid_size(16) == 63
-    assert dealias_grid_size(16, factor=3) == 48
-    assert dealias_grid_size(1) == 3
-    with pytest.raises(ValueError):
-        dealias_grid_size(16, factor=2)
+    # Exact for the cubic (K + 1 > 2N) with a smooth FFT length 2 (K + 1).
+    for n in range(1, 2049):
+        k = dealias_grid_size(n)
+        assert k + 1 > 2 * n
+        assert 2 * (k + 1) == 5 * 2 * -(-n // 2)
+    assert dealias_grid_size(16) == 39
+    assert dealias_grid_size(1) == 4
+    assert dealias_grid_size(3) == 9
