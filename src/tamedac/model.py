@@ -15,7 +15,6 @@ several times smaller than on the exact grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,10 @@ from .spectral import (
     dealias_grid_size,
 )
 
-# Grid amplitudes beyond this are cubed in rescaled arithmetic.  The cube of
-# the limit (1e120) keeps both the cubic and the sum of squares inside its
-# L2 norm (1e240) far from float64 overflow.
+# Grid amplitudes beyond this, divided by |a3|^(1/3) when |a3| > 1, are
+# cubed in rescaled arithmetic.  The rescaled cubic then stays below 1e120,
+# which keeps it and the sum of squares inside its L2 norm (1e240) far from
+# float64 overflow.
 _SCALE_LIMIT = 1e40
 # Projected drifts whose largest coefficient stays below this have a sum of
 # squares below N * 1e280, so their plain L2 norm cannot overflow.
@@ -70,11 +70,30 @@ def eval_poly(params: ModelParams, v):
     return ((params.a3 * v + params.a2) * v + params.a1) * v + params.a0
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row as a 1-d dot product, shape (..., 1).
+
+    Every row equals np.linalg.norm of that row bit for bit, whatever the
+    other rows hold; a batched einsum would differ in the last bits.
+    """
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
+
+
+def _check_finite(peak: np.ndarray) -> None:
+    """Raise BlowupError if a row's largest |coefficient| is not finite.
+
+    For a block (one field per row) the error's sample_index is the row.
+    """
+    if not np.all(np.isfinite(peak)):
+        row = int(np.flatnonzero(~np.isfinite(peak))[0]) if peak.ndim > 1 else None
+        raise BlowupError("drift projection produced non-finite coefficients",
+                          sample_index=row)
+
+
 def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     values = _synthesize_raw(coeffs, grid_size)
-    out = _analyze_raw(eval_poly(params, values), coeffs.shape[0])
-    if not np.all(np.isfinite(out)):
-        raise BlowupError("drift projection produced non-finite coefficients")
+    out = _analyze_raw(eval_poly(params, values), coeffs.shape[-1])
+    _check_finite(np.abs(out).max(axis=-1, keepdims=True))
     return out
 
 
@@ -100,30 +119,38 @@ def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
 
 def _tamed_drift_raw(params: ModelParams, coeffs: np.ndarray, tau: float,
                      grid_size: int) -> np.ndarray:
+    """Tamed drift of every row of `coeffs` (shape (..., N)).
+
+    Each row is computed as if it were alone: rows that need no rescaling
+    take the same operations with a scale of exactly 1.
+    """
     values = _synthesize_raw(coeffs, grid_size)
-    peak = float(np.max(np.abs(values)))
-    if peak <= _SCALE_LIMIT:
+    limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
+    # Block-wide maxima decide the common case in a few calls; written as a
+    # negated <= so that NaN takes the checked branch.
+    if np.abs(values).max() <= limit:
         inv_cube, q = 1.0, eval_poly(params, values)
     else:
         # With s = peak / limit and w = v / s the quantity q = f(v) / s^3
         # stays representable.  Powers of s are formed by division so that
         # a huge s underflows to zero instead of raising.
-        scale = peak / _SCALE_LIMIT
+        scale = np.maximum(np.abs(values).max(axis=-1, keepdims=True) / limit, 1.0)
         w = values / scale
         q = ((params.a3 * w + params.a2 / scale) * w + params.a1 / scale / scale) * w \
             + params.a0 / scale / scale / scale
         inv_cube = 1.0 / scale / scale / scale
-    q_n = _analyze_raw(q, coeffs.shape[0])
-    q_peak = float(np.max(np.abs(q_n)))
-    if not math.isfinite(q_peak):
-        raise BlowupError("drift projection produced non-finite coefficients")
+    q_n = _analyze_raw(q, coeffs.shape[-1])
+    if not (np.abs(q_n).max() <= _NORM_LIMIT):
+        q_peak = np.abs(q_n).max(axis=-1, keepdims=True)
+        _check_finite(q_peak)
+        # Large drift coefficients can make q_N finite but ||q_N||^2
+        # overflow; dividing numerator and denominator by max |q_N| keeps
+        # both in range.
+        unit = np.where(q_peak > _NORM_LIMIT, q_peak, 1.0)
+        q_n = q_n / unit
+        inv_cube = inv_cube / unit
     # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
-    if q_peak <= _NORM_LIMIT:
-        return q_n / (inv_cube + tau * np.linalg.norm(q_n))
-    # Large drift coefficients can make q_N finite but ||q_N||^2 overflow;
-    # dividing numerator and denominator by max |q_N| keeps both in range.
-    unit = q_n / q_peak
-    return unit / (inv_cube / q_peak + tau * np.linalg.norm(unit))
+    return q_n / (inv_cube + tau * _row_norms(q_n))
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,

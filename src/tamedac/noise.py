@@ -13,7 +13,11 @@ Coarse increments are derived from fine ones exactly: splitting
 
     conv[t_a, t_b] = sum_k exp(-lambda (t_b - t_{k+1})) * conv[t_k, t_{k+1}],
 
-an identity of the integral, not an approximation.
+an identity of the integral, not an approximation.  The sum runs over the
+substeps in time order, one fine step after another, both in the matrix
+route (:meth:`NoiseRealization.increments`) and in the streamed route
+(:class:`IncrementStream` feeding :class:`Coarsener`), so the two give the
+same values bit for bit.
 """
 
 from __future__ import annotations
@@ -108,6 +112,78 @@ def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
     return Generator(bg).standard_normal(count)
 
 
+class NormalStream:
+    """step_normals of one (seed, sample) pair, drawn one fine step at a time.
+
+    One Philox generator is reused: before every draw its counter is reset
+    to (0, step, 0, 0) with an empty buffer, which is exactly the state a
+    fresh step_normals generator starts from, so the values are the same
+    bit for bit at a fraction of the set-up cost.
+    """
+
+    def __init__(self, master_seed: int, sample_index: int):
+        self._bit_gen = Philox(key=[master_seed, sample_index])
+        self._generator = Generator(self._bit_gen)
+        # A fresh Philox state: counter (0, 0, 0, 0), empty buffer.  Only
+        # the step word of this copy ever changes.
+        self._state = self._bit_gen.state
+        self._counter = self._state["state"]["counter"]
+
+    def normals(self, fine_step_index: int, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """step_normals(master_seed, sample_index, fine_step_index, count)."""
+        self._counter[1] = fine_step_index
+        self._bit_gen.state = self._state
+        return self._generator.standard_normal(count, out=out)
+
+
+class IncrementStream:
+    """Fine increments of a block of samples, one fine step at a time.
+
+    Row r of ``at(m)`` equals row m of the ``fine_matrix`` of sample
+    ``sample_indices[r]`` bit for bit, without materializing that
+    (m_fine, n_modes) matrix.
+    """
+
+    def __init__(self, grid: NoiseGrid, master_seed: int, sample_indices):
+        self.grid = grid
+        self._sigma = np.sqrt(increment_variances(grid.n_modes, grid.tau_fine))
+        self._streams = [NormalStream(master_seed, s) for s in sample_indices]
+
+    def at(self, fine_step_index: int) -> np.ndarray:
+        """Increments over fine step `fine_step_index`, shape (S, n_modes)."""
+        out = np.empty((len(self._streams), self.grid.n_modes))
+        for row, stream in zip(out, self._streams):
+            stream.normals(fine_step_index, self.grid.n_modes, out=row)
+        out *= self._sigma
+        return out
+
+
+class Coarsener:
+    """Exact coarse increments of an (n_modes, n_steps) path from streamed fine ones.
+
+    Feed the fine increments of every fine step in order; each time a
+    coarse interval closes, :meth:`push` returns its increments, equal bit
+    for bit to the matching rows of ``NoiseRealization.increments``.
+    """
+
+    def __init__(self, grid: NoiseGrid, n_modes: int, n_steps: int):
+        self.n_modes = n_modes
+        self._sub = _substeps(grid, n_modes, n_steps)
+        self._weights = convolution_weights(eigenvalues(n_modes), self._sub, grid.tau_fine)
+        self._acc = None
+
+    def push(self, fine_step_index: int, fine: np.ndarray) -> np.ndarray | None:
+        """Take the fine increments (..., >= n_modes) of one fine step."""
+        j = fine_step_index % self._sub
+        part = self._weights[j] * fine[..., : self.n_modes]
+        if j == 0:
+            self._acc = part
+        else:
+            self._acc += part
+        return self._acc if j == self._sub - 1 else None
+
+
 def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
     """One stochastic convolution increment over a fine step; bit repeatable."""
     if key.mode_index > grid.n_modes:
@@ -170,7 +246,8 @@ class NoiseRealization:
     The full (m_fine, n_modes) increment matrix is materialized lazily and
     reused by every resolution that shares the sample, which is what makes
     the coupled error of a coarse path against the reference pathwise
-    meaningful.
+    meaningful.  The strong-error study draws the same values one fine step
+    at a time instead (:class:`IncrementStream`, :class:`Coarsener`).
     """
 
     def __init__(self, grid: NoiseGrid, master_seed: int, sample_index: int):
@@ -192,18 +269,23 @@ class NoiseRealization:
     def increments(self, n_modes: int, n_steps: int) -> np.ndarray:
         """Increment matrix for a path at (n_modes, n_steps), shape (M, N)."""
         g = self.grid
-        if n_modes > g.n_modes:
-            raise ResolutionError(
-                f"requested {n_modes} modes from a grid carrying {g.n_modes}"
-            )
-        if n_steps < 1 or g.m_fine % n_steps != 0:
-            raise AlignmentError(
-                f"step count {n_steps} does not divide the fine count {g.m_fine}"
-            )
-        sub_per_step = g.m_fine // n_steps
-        fine = self.fine_matrix[:, :n_modes]
-        if sub_per_step == 1:
-            return fine.copy()
-        w = convolution_weights(eigenvalues(n_modes), sub_per_step, g.tau_fine)
-        blocks = fine.reshape(n_steps, sub_per_step, n_modes)
-        return np.einsum("srn,rn->sn", blocks, w, optimize=True)
+        sub = _substeps(g, n_modes, n_steps)
+        blocks = self.fine_matrix[:, :n_modes].reshape(n_steps, sub, n_modes)
+        w = convolution_weights(eigenvalues(n_modes), sub, g.tau_fine)
+        out = w[0] * blocks[:, 0]
+        for j in range(1, sub):
+            out += w[j] * blocks[:, j]
+        return out
+
+
+def _substeps(grid: NoiseGrid, n_modes: int, n_steps: int) -> int:
+    """Fine steps per coarse step of an (n_modes, n_steps) path on `grid`."""
+    if n_modes > grid.n_modes:
+        raise ResolutionError(
+            f"requested {n_modes} modes from a grid carrying {grid.n_modes}"
+        )
+    if n_steps < 1 or grid.m_fine % n_steps != 0:
+        raise AlignmentError(
+            f"step count {n_steps} does not divide the fine count {grid.m_fine}"
+        )
+    return grid.m_fine // n_steps

@@ -9,12 +9,17 @@ exact stochastic convolution increment for the step (zero in deterministic
 mode).  The linear part and the noise are treated exactly; only the drift
 is frozen over the step, and its taming keeps the update bounded even
 though the cubic grows super-linearly.
+
+:class:`PathBlock` is the one stepping kernel: it advances a block of
+paths at one resolution, one row per Monte Carlo sample.  Rows never
+interact, so every row equals a block-of-one run bit for bit;
+:func:`simulate_path` and :func:`step` are the one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,16 +61,65 @@ class PathResult:
     snapshots: dict[int, SpectralField] = field(default_factory=dict)
 
 
-def _advance(coeffs, decay, weights, drift, noise_row, step_index, sample_index):
-    out = decay * coeffs + weights * drift
-    if noise_row is not None:
-        out += noise_row
-    if np.max(np.abs(out)) > BLOWUP_THRESHOLD:
-        raise BlowupError(
-            f"coefficient magnitude exceeded {BLOWUP_THRESHOLD:g} at step {step_index}",
-            step_index=step_index, sample_index=sample_index,
+class PathBlock:
+    """Paths at one resolution advanced together, one row of coefficients each.
+
+    `coeffs` has shape (S, N); `sample_indices` (one per row, or None)
+    labels the rows in blowup errors.
+    """
+
+    def __init__(self, params: ModelParams, coeffs: np.ndarray, tau: float,
+                 sample_indices: Sequence[int | None] | None = None, *,
+                 tamed: bool = True, grid_size: int | None = None, step_index: int = 0):
+        self.params = params
+        self.coeffs = coeffs
+        self.tau = tau
+        self.step_index = step_index
+        n_modes = coeffs.shape[-1]
+        self._samples = sample_indices
+        self._tamed = tamed
+        self._grid = _resolve_grid(params, n_modes, grid_size)
+        self._decay = semigroup_factors(n_modes, tau)
+        self.weights = phi_factors(n_modes, tau)
+
+    @classmethod
+    def at_initial_data(cls, params: ModelParams, n_modes: int, n_steps: int,
+                        sample_indices: Sequence[int | None], **options) -> "PathBlock":
+        """One row per sample at the projected initial data, with tau = T / n_steps."""
+        initial = project(params.initial_data, n_modes).coeffs
+        return cls(params, np.repeat(initial[None, :], len(sample_indices), axis=0),
+                   params.horizon_T / n_steps, sample_indices, **options)
+
+    def step(self, noise: np.ndarray | None = None) -> np.ndarray:
+        """Advance every row by one step and return the drift it used.
+
+        `noise` holds the rows' increments for this step (zero if None).
+        """
+        try:
+            if self._tamed:
+                drift = _tamed_drift_raw(self.params, self.coeffs, self.tau, self._grid)
+            else:
+                drift = _drift_raw(self.params, self.coeffs, self._grid)
+        except BlowupError as exc:
+            raise self._blowup(str(exc), exc.sample_index) from None
+        out = self._decay * self.coeffs + self.weights * drift
+        if noise is not None:
+            out += noise
+        # Written as a negated <= so that a NaN coefficient fails too.
+        if not (np.abs(out).max() <= BLOWUP_THRESHOLD):
+            row = int(np.flatnonzero(~(np.abs(out).max(axis=-1) <= BLOWUP_THRESHOLD))[0])
+            raise self._blowup(f"coefficient magnitude exceeded {BLOWUP_THRESHOLD:g}", row)
+        self.coeffs = out
+        self.step_index += 1
+        return drift
+
+    def _blowup(self, what: str, row: int | None) -> BlowupError:
+        sample = None if self._samples is None or row is None else self._samples[row]
+        return BlowupError(
+            f"{what} at step {self.step_index} (N={self.coeffs.shape[-1]}, "
+            f"tau={self.tau:.6g})",
+            step_index=self.step_index, sample_index=sample,
         )
-    return out
 
 
 def step(state: SchemeState, params: ModelParams, noise_increments,
@@ -75,15 +129,10 @@ def step(state: SchemeState, params: ModelParams, noise_increments,
     noise = np.asarray(noise_increments, dtype=np.float64)
     if noise.shape != (n,):
         raise ValueError(f"noise_increments must have length {n}, got shape {noise.shape}")
-    grid = _resolve_grid(params, n, grid_size)
-    coeffs = state.field.coeffs
-    if tamed:
-        drift = _tamed_drift_raw(params, coeffs, state.tau, grid)
-    else:
-        drift = _drift_raw(params, coeffs, grid)
-    out = _advance(coeffs, semigroup_factors(n, state.tau), phi_factors(n, state.tau),
-                   drift, noise, state.step_index, None)
-    return SchemeState(field=SpectralField(out), step_index=state.step_index + 1,
+    block = PathBlock(params, state.field.coeffs[None, :], state.tau, tamed=tamed,
+                      grid_size=grid_size, step_index=state.step_index)
+    block.step(noise)
+    return SchemeState(field=SpectralField(block.coeffs[0]), step_index=block.step_index,
                        tau=state.tau)
 
 
@@ -123,29 +172,20 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
             raise ValueError(
                 f"increments must have shape {(n_steps, n_modes)}, got {increments.shape}"
             )
-    tau = params.horizon_T / n_steps
-    grid = _resolve_grid(params, n_modes, grid_size)
-    decay = semigroup_factors(n_modes, tau)
-    weights = phi_factors(n_modes, tau)
+    block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,),
+                                      tamed=tamed, grid_size=grid_size)
+    bound = block.weights[0] / block.tau
     wanted = set(record_steps)
-
-    coeffs = project(params.initial_data, n_modes).coeffs.copy()
     snapshots: dict[int, SpectralField] = {}
     if 0 in wanted:
-        snapshots[0] = SpectralField(coeffs)
+        snapshots[0] = SpectralField(block.coeffs[0])
     for m in range(n_steps):
-        if tamed:
-            drift = _tamed_drift_raw(params, coeffs, tau, grid)
-        else:
-            drift = _drift_raw(params, coeffs, grid)
+        drift = block.step(None if increments is None else increments[m])[0]
         if check_bounds and tamed:
-            bound = weights[0] / tau
-            assert np.linalg.norm(weights * drift) <= bound * (1.0 + 1e-12), \
+            assert np.linalg.norm(block.weights * drift) <= bound * (1.0 + 1e-12), \
                 "tamed drift increment exceeded its bound"
-        coeffs = _advance(coeffs, decay, weights, drift, increments[m] if
-                          increments is not None else None, m, sample_index)
         if observer is not None:
-            observer(m + 1, coeffs, drift)
+            observer(m + 1, block.coeffs[0], drift)
         if m + 1 in wanted:
-            snapshots[m + 1] = SpectralField(coeffs)
-    return PathResult(terminal=SpectralField(coeffs), snapshots=snapshots)
+            snapshots[m + 1] = SpectralField(block.coeffs[0])
+    return PathResult(terminal=SpectralField(block.coeffs[0]), snapshots=snapshots)

@@ -1,5 +1,11 @@
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
+
+import tamedac.stepper as stepper
 
 from tamedac import (
     ModelParams,
@@ -15,6 +21,7 @@ from tamedac import (
     strong_error_study,
 )
 from tamedac.errors import BlowupError
+from tamedac.experiments import _study_block
 
 from oracles import polyfit_slope
 
@@ -122,16 +129,63 @@ class TestStrongErrorStudy:
         assert 0.3 <= report.fitted_slope <= 0.7
 
     def test_blowup_aborts_with_sample_context(self, double_well, monkeypatch):
-        import tamedac.experiments as exp
+        # With the threshold lowered, sample 1 blows up at the reference
+        # path's first step and sample 0 only at step 43, so the first row
+        # of a block to blow up is not the lowest-indexed sample that does.
+        # The study's worker processes are forked and inherit the patch.
+        monkeypatch.setattr(stepper, "BLOWUP_THRESHOLD", 0.41)
+        config = small_config(double_well)
+        oracle = {}
+        for s in range(config.samples):
+            try:
+                sample_squared_errors(config, s)
+            except BlowupError as exc:
+                oracle[s] = exc.step_index
+        assert min(oracle) == 0 and oracle[0] > oracle[1]
+        for threads in (1, 2):
+            with pytest.raises(BlowupError) as info:
+                strong_error_study(config, threads=threads)
+            assert info.value.sample_index == 0
+            assert info.value.step_index == oracle[0]
+            assert str(info.value).startswith("sample 0 blew up")
 
-        def explode(config, sample_index):
-            raise BlowupError("synthetic", step_index=2)
 
-        monkeypatch.setattr(exp, "sample_squared_errors", explode)
-        with pytest.raises(BlowupError) as info:
-            strong_error_study(small_config(double_well))
-        assert info.value.sample_index == 0
-        assert "sample 0" in str(info.value)
+class TestBlocks:
+    """A sample's errors do not depend on the block that computes them."""
+
+    @pytest.mark.parametrize("mode", ["joint", "spatial", "temporal"])
+    def test_rows_do_not_depend_on_the_block(self, double_well, mode):
+        resolutions = (4, 8, 16) if mode != "temporal" else (8, 16, 32)
+        config = small_config(double_well, mode=mode, resolutions=resolutions, samples=7)
+        expected = np.stack([sample_squared_errors(config, s) for s in range(7)])
+        for size in (1, 2, 3, 7):
+            rows = np.concatenate([
+                _study_block(config, first, min(size, 7 - first))
+                for first in range(0, 7, size)])
+            assert rows.tobytes() == expected.tobytes()
+        # The blocks a 2-worker study would send, computed in worker processes.
+        with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+            rows = np.concatenate(list(pool.map(_study_block, [config] * 2, (0, 4), (4, 3))))
+        assert rows.tobytes() == expected.tobytes()
+        report = strong_error_study(config, threads=2)
+        rms = np.array([p.rms_error for p in report.points])
+        assert rms.tobytes() == np.sqrt(expected.mean(axis=0)).tobytes()
+
+    @pytest.mark.parametrize("mode", ["joint", "spatial", "temporal"])
+    def test_sample_memory_stays_small(self, double_well, mode):
+        # The study streams its noise: no (M, N) increment matrix, which at
+        # ref 1024 alone would take 8.4 MB.
+        resolutions = (8, 16, 32, 64, 128, 256) if mode == "temporal" \
+            else (4, 8, 16, 32, 64, 128)
+        config = small_config(double_well, mode=mode, resolutions=resolutions,
+                              ref_resolution=1024)
+        tracemalloc.start()
+        try:
+            sample_squared_errors(config, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestFitSlope:
@@ -192,13 +246,6 @@ class TestMomentDiagnostics:
                            samples=5, master_seed=2, horizon_T=1.0, params=params)
         (report,) = moment_diagnostics(config, n_steps=4, tamed=False)
         assert report.blowups == 5
-
-
-def test_study_worker_matches_inline(double_well):
-    # Parallel dispatch must produce the same numbers as in-process execution.
-    from tamedac.experiments import _study_worker
-    config = small_config(double_well)
-    assert np.array_equal(_study_worker(config, 3), sample_squared_errors(config, 3))
 
 
 def test_parallel_study_reproduces_serial_report(double_well):

@@ -8,6 +8,7 @@ from tamedac import (
     ModelParams,
     SpectralField,
     analyze,
+    dealias_grid_size,
     eval_poly,
     l2_norm,
     nonlinearity_galerkin,
@@ -15,6 +16,7 @@ from tamedac import (
     synthesize,
     tamed_drift,
 )
+from tamedac.model import _tamed_drift_raw
 
 from oracles import odd_drift_expansion, quadrature_inner, tamed_odd_drift
 
@@ -229,6 +231,37 @@ class TestTamedDrift:
             assert out.coeffs @ direction == pytest.approx(l2_norm(out), rel=1e-12)
         out = tamed_drift(params, SpectralField([1.0]), 0.01)
         assert out.coeffs == pytest.approx([-100.0], rel=1e-9)
+
+    def test_huge_coefficient_and_field_saturate(self):
+        # |a3| * |v|^3 is far beyond float64 here; the per-row scale must
+        # fold |a3| in so that the rescaled cubic stays representable.
+        params = ModelParams(a3=-1e200, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        direction = odd_drift_expansion(np.array([1.0]), -1.0, 0.0)
+        direction /= np.linalg.norm(direction)
+        for tau in (1e-3, 0.01, 1.0):
+            out = tamed_drift(params, SpectralField([1e50]), tau)
+            assert l2_norm(out) == pytest.approx(1.0 / tau, rel=1e-9)
+            assert out.coeffs @ direction == pytest.approx(l2_norm(out), rel=1e-12)
+
+    @pytest.mark.parametrize("a3,huge", [(-1.0, 1e60), (-1e200, 1e50)])
+    def test_block_rows_do_not_depend_on_each_other(self, a3, huge):
+        # One row that needs rescaling must leave the ordinary rows of its
+        # block exactly as they are when computed alone.
+        params = ModelParams(a3=a3, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        rows = np.random.default_rng(3).standard_normal((5, 128))
+        rows[2] *= huge
+        block = _tamed_drift_raw(params, rows, 0.01, dealias_grid_size(128))
+        for row, got in zip(rows, block):
+            alone = tamed_drift(params, SpectralField(row), 0.01).coeffs
+            assert got.tobytes() == alone.tobytes()
+        # Rows below the rescaling limits are the plain formula with the 1-d
+        # norm of today's single-field drift, bit for bit.
+        for r in (0, 1, 3, 4) if a3 == -1.0 else ():
+            f_n = nonlinearity_galerkin(params, SpectralField(rows[r])).coeffs
+            plain = f_n / (1.0 + 0.01 * np.linalg.norm(f_n))
+            assert block[r].tobytes() == plain.tobytes()
 
     def test_moderate_field_strictly_below_bound(self, double_well):
         out = tamed_drift(double_well, SpectralField([3.0, -2.0]), tau=0.5)

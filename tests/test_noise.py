@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tamedac import (
     NoiseGrid,
@@ -14,7 +16,15 @@ from tamedac import (
     step_normals,
 )
 from tamedac.errors import AlignmentError, ResolutionError
-from tamedac.noise import convolution_weights
+from tamedac.experiments import resolution_pair
+from tamedac.noise import Coarsener, IncrementStream, NormalStream, convolution_weights
+
+# The resolution ladders of the benchmark workloads, at reference 1024.
+BENCHMARK_LADDERS = {
+    "joint": (4, 8, 16, 32, 64, 128),
+    "spatial": (4, 8, 16, 32, 64, 128),
+    "temporal": (8, 16, 32, 64, 128, 256),
+}
 
 VAR_MODE1_TAU1 = 0.05066059168563721   # (1 - exp(-2 pi^2)) / (2 pi^2)
 
@@ -115,6 +125,50 @@ class TestKeyedSampling:
                 assert abs(np.mean(z[:, a] * z[:, b])) < threshold
         for a in range(4):
             assert abs(np.mean(z[:-1, a] * z[1:, a])) < threshold
+
+
+class TestStreamedNoise:
+    @given(seed=st.integers(0, 2 ** 64 - 1), sample=st.integers(0, 2 ** 64 - 1),
+           steps=st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=4),
+           count=st.integers(1, 300), partial=st.integers(0, 9))
+    def test_stream_equals_step_normals(self, seed, sample, steps, count, partial):
+        # The reused generator is left mid-buffer by a partial draw before
+        # every step; the reset must still land on step_normals exactly.
+        stream = NormalStream(seed, sample)
+        for step in steps:
+            stream.normals(step + 1, partial + 1)
+            got = stream.normals(step, count)
+            assert got.tobytes() == step_normals(seed, sample, step, count).tobytes()
+
+    def test_stream_rows_equal_fine_matrix(self):
+        grid = NoiseGrid(n_modes=5, m_fine=6, tau_fine=1 / 6)
+        stream = IncrementStream(grid, 17, [4, 2])
+        for m in range(grid.m_fine):
+            rows = stream.at(m)
+            for row, s in zip(rows, (4, 2)):
+                assert row.tobytes() == NoiseRealization(grid, 17, s).fine_matrix[m].tobytes()
+
+    @pytest.mark.parametrize("mode", sorted(BENCHMARK_LADDERS))
+    def test_streamed_coarsening_equals_increments(self, mode):
+        ref = 1024
+        grid = NoiseGrid.for_horizon(1.0, ref, ref)
+        samples = (0, 1)
+        pairs = [resolution_pair(mode, r, ref) for r in BENCHMARK_LADDERS[mode]]
+        coarseners = [Coarsener(grid, *pair) for pair in pairs]
+        streamed = [[] for _ in pairs]
+        stream = IncrementStream(grid, 9, samples)
+        for m in range(ref):
+            fine = stream.at(m)
+            for coarsener, out in zip(coarseners, streamed):
+                coarse = coarsener.push(m, fine)
+                if coarse is not None:
+                    out.append(coarse.copy())
+        for row, s in enumerate(samples):
+            realization = NoiseRealization(grid, 9, s)
+            for pair, out in zip(pairs, streamed):
+                expected = realization.increments(*pair)
+                got = np.stack([coarse[row] for coarse in out])
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestAggregation:

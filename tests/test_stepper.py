@@ -134,6 +134,16 @@ class TestBlowup:
         assert info.value.sample_index == 3
         assert info.value.step_index is not None
 
+    def test_nan_increment_is_a_blowup_at_its_step(self, double_well):
+        # NaN compares False against the threshold; the guard must still
+        # stop the path at the step that produced it.
+        inc = np.zeros((4, 4))
+        inc[-1, 2] = np.nan
+        with pytest.raises(BlowupError) as info:
+            simulate_path(double_well, 4, 4, inc, sample_index=5)
+        assert info.value.step_index == 3
+        assert info.value.sample_index == 5
+
     def test_taming_prevents_the_same_divergence(self):
         params = ModelParams(a3=-1.0, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
                              initial_data=SpectralField([50.0]))
