@@ -27,8 +27,6 @@ from .noise import (
     NoiseGrid,
     NoiseKey,
     NoiseRealization,
-    aggregate_fine_increments,
-    aggregate_to_coarse,
     increment_variance,
     increment_variances,
     sample_fine_increment,
@@ -44,16 +42,14 @@ from .spectral import (
     eigenvalues,
     grid_points,
     l2_norm,
-    phi_factor,
     phi_factors,
     project,
-    semigroup_factor,
     semigroup_factors,
     sobolev_norm,
     sup_norm_estimate,
     synthesize,
 )
-from .stepper import BLOWUP_THRESHOLD, PathResult, SchemeState, simulate_path, step
+from .stepper import BLOWUP_THRESHOLD, PathResult, simulate_path
 
 __version__ = "0.1.0"
 
@@ -72,10 +68,7 @@ __all__ = [
     "PathResult",
     "ResolutionError",
     "RunConfig",
-    "SchemeState",
     "SpectralField",
-    "aggregate_fine_increments",
-    "aggregate_to_coarse",
     "analyze",
     "coupled_terminal",
     "dealias_grid_size",
@@ -92,17 +85,14 @@ __all__ = [
     "load_error_csv",
     "moment_diagnostics",
     "nonlinearity_galerkin",
-    "phi_factor",
     "phi_factors",
     "project",
     "resolution_pair",
     "sample_fine_increment",
     "sample_squared_errors",
-    "semigroup_factor",
     "semigroup_factors",
     "simulate_path",
     "sobolev_norm",
-    "step",
     "step_normals",
     "strong_error_study",
     "sup_norm_estimate",

@@ -18,8 +18,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .errors import BlowupError
 from .experiments import (
     RunConfig,
@@ -29,7 +27,7 @@ from .experiments import (
 from .model import ModelParams
 from .noise import NoiseGrid, NoiseRealization
 from .reporting import emit_csv, emit_loglog_plot, print_report
-from .spectral import SQRT2, SpectralField, _synthesize_raw
+from .spectral import SQRT2, SpectralField, _synthesize_raw, grid_points
 from .stepper import simulate_path
 
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
@@ -220,7 +218,7 @@ def _run_simulate(opts: dict) -> int:
 
     render = 4 * n_modes
     tau = opts["horizon"] / n_steps
-    x = np.arange(1, render + 1) / (render + 1)
+    x = grid_points(render)
     columns = [_synthesize_raw(result.snapshots[m].coeffs, render) for m in record]
     header = "x," + ",".join(f"t={m * tau:.6g}" for m in record)
     lines = [header]

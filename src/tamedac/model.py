@@ -90,13 +90,6 @@ def _check_finite(peak: np.ndarray) -> None:
                           sample_index=row)
 
 
-def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    values = _synthesize_raw(coeffs, grid_size)
-    out = _analyze_raw(eval_poly(params, values), coeffs.shape[-1])
-    _check_finite(np.abs(out).max(axis=-1, keepdims=True))
-    return out
-
-
 def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> int:
     if grid_size is None:
         if params.a2 == 0 and params.a0 == 0:
@@ -109,26 +102,21 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     return grid_size
 
 
-def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
-                          grid_size: int | None = None) -> SpectralField:
-    """Galerkin projection of the drift onto the field's modes."""
-    return SpectralField(
-        _drift_raw(params, fld.coeffs, _resolve_grid(params, fld.n_modes, grid_size))
-    )
+def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int,
+               tau: float | None = None) -> np.ndarray:
+    """Projected drift F_N of every row of `coeffs` (shape (..., N)).
 
-
-def _tamed_drift_raw(params: ModelParams, coeffs: np.ndarray, tau: float,
-                     grid_size: int) -> np.ndarray:
-    """Tamed drift of every row of `coeffs` (shape (..., N)).
-
-    Each row is computed as if it were alone: rows that need no rescaling
-    take the same operations with a scale of exactly 1.
+    With a step size `tau`, the tamed drift F_N / (1 + tau ||F_N||) of each
+    row instead, computed in rescaled arithmetic where F_N itself would
+    overflow.  Each row is computed as if it were alone: rows that need no
+    rescaling take the same operations with a scale of exactly 1, and the
+    untamed drift is never rescaled.
     """
     values = _synthesize_raw(coeffs, grid_size)
     limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
     # Block-wide maxima decide the common case in a few calls; written as a
     # negated <= so that NaN takes the checked branch.
-    if np.abs(values).max() <= limit:
+    if tau is None or np.abs(values).max() <= limit:
         inv_cube, q = 1.0, eval_poly(params, values)
     else:
         # With s = peak / limit and w = v / s the quantity q = f(v) / s^3
@@ -143,14 +131,25 @@ def _tamed_drift_raw(params: ModelParams, coeffs: np.ndarray, tau: float,
     if not (np.abs(q_n).max() <= _NORM_LIMIT):
         q_peak = np.abs(q_n).max(axis=-1, keepdims=True)
         _check_finite(q_peak)
-        # Large drift coefficients can make q_N finite but ||q_N||^2
-        # overflow; dividing numerator and denominator by max |q_N| keeps
-        # both in range.
-        unit = np.where(q_peak > _NORM_LIMIT, q_peak, 1.0)
-        q_n = q_n / unit
-        inv_cube = inv_cube / unit
+        if tau is not None:
+            # Large drift coefficients can make q_N finite but ||q_N||^2
+            # overflow; dividing numerator and denominator by max |q_N|
+            # keeps both in range.
+            unit = np.where(q_peak > _NORM_LIMIT, q_peak, 1.0)
+            q_n = q_n / unit
+            inv_cube = inv_cube / unit
+    if tau is None:
+        return q_n
     # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
     return q_n / (inv_cube + tau * _row_norms(q_n))
+
+
+def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
+                          grid_size: int | None = None) -> SpectralField:
+    """Galerkin projection of the drift onto the field's modes."""
+    return SpectralField(
+        _drift_raw(params, fld.coeffs, _resolve_grid(params, fld.n_modes, grid_size))
+    )
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
@@ -163,6 +162,5 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return SpectralField(
-        _tamed_drift_raw(params, fld.coeffs, tau,
-                         _resolve_grid(params, fld.n_modes, grid_size))
+        _drift_raw(params, fld.coeffs, _resolve_grid(params, fld.n_modes, grid_size), tau)
     )

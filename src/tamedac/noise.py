@@ -13,10 +13,11 @@ Coarse increments are derived from fine ones exactly: splitting
 
     conv[t_a, t_b] = sum_k exp(-lambda (t_b - t_{k+1})) * conv[t_k, t_{k+1}],
 
-an identity of the integral, not an approximation.  The sum runs over the
-substeps in time order, one fine step after another, both in the matrix
-route (:meth:`NoiseRealization.increments`) and in the streamed route
-(:class:`IncrementStream` feeding :class:`Coarsener`), so the two give the
+an identity of the integral, not an approximation.  :class:`Coarsener` is
+the one implementation of that sum: it takes the fine increments one fine
+step at a time, in time order, whether they are streamed
+(:class:`IncrementStream`, as the strong-error study does) or read from a
+materialized matrix (:meth:`NoiseRealization.increments`), so both give the
 same values bit for bit.
 """
 
@@ -29,10 +30,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import AlignmentError, ResolutionError
-from .spectral import eigenvalue, eigenvalues
+from .spectral import eigenvalues
 
 _U64_MAX = 2 ** 64 - 1
-_ALIGN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,21 @@ class NoiseGrid:
         return cls(n_modes=n_modes, m_fine=m_fine, tau_fine=horizon / m_fine)
 
 
-def increment_variance(mode_index: int, tau: float) -> float:
-    """Variance (1 - exp(-2 lambda_i tau)) / (2 lambda_i) of one increment.
+def increment_variances(n_modes: int, tau: float) -> np.ndarray:
+    """Variances (1 - exp(-2 lambda_i tau)) / (2 lambda_i) of modes 1..N.
 
     Written as tau * (1 - e^{-x}) / x with x = 2 lambda_i tau, which is
     stable for x -> 0 and bounded by min(tau, 1 / (2 lambda_i)).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    x = 2.0 * eigenvalue(mode_index) * tau
-    return float(tau * (-np.expm1(-x) / x))
-
-
-def increment_variances(n_modes: int, tau: float) -> np.ndarray:
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     x = 2.0 * eigenvalues(n_modes) * tau
     return tau * (-np.expm1(-x) / x)
+
+
+def increment_variance(mode_index: int, tau: float) -> float:
+    """Variance of one increment of mode `mode_index` over a step tau."""
+    return float(increment_variances(mode_index, tau)[-1])
 
 
 def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
@@ -160,11 +158,11 @@ class IncrementStream:
 
 
 class Coarsener:
-    """Exact coarse increments of an (n_modes, n_steps) path from streamed fine ones.
+    """Exact coarse increments of an (n_modes, n_steps) path from fine ones.
 
     Feed the fine increments of every fine step in order; each time a
-    coarse interval closes, :meth:`push` returns its increments, equal bit
-    for bit to the matching rows of ``NoiseRealization.increments``.
+    coarse interval closes, :meth:`push` returns its increments, the
+    substeps summed in time order.
     """
 
     def __init__(self, grid: NoiseGrid, n_modes: int, n_steps: int):
@@ -205,41 +203,6 @@ def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float):
     return np.exp(-np.multiply.outer(ages, lam))
 
 
-def aggregate_fine_increments(mode_index: int, fine_increments,
-                              tau_fine: float) -> float:
-    """Exact coarse increment from the fine increments covering one interval."""
-    inc = np.asarray(fine_increments, dtype=np.float64)
-    w = convolution_weights(eigenvalue(mode_index), inc.shape[0], tau_fine)
-    return float(w @ inc)
-
-
-def _fine_index(t: float, grid: NoiseGrid, what: str) -> int:
-    ratio = t / grid.tau_fine
-    idx = int(round(ratio))
-    if abs(ratio - idx) > _ALIGN_RTOL * max(1.0, abs(ratio)):
-        raise AlignmentError(f"{what}={t} is not aligned to the fine grid")
-    return idx
-
-
-def aggregate_to_coarse(mode_index: int, t_start: float, t_end: float,
-                        grid: NoiseGrid, master_seed: int,
-                        sample_index: int) -> float:
-    """Sample the convolution increment over a fine-aligned coarse interval."""
-    a = _fine_index(t_start, grid, "t_start")
-    b = _fine_index(t_end, grid, "t_end")
-    if b <= a:
-        raise AlignmentError("t_end must exceed t_start by a multiple of tau_fine")
-    if a < 0 or b > grid.m_fine:
-        raise AlignmentError("interval extends outside the fine grid")
-    fine = [
-        sample_fine_increment(
-            NoiseKey(master_seed, sample_index, mode_index, k), grid
-        )
-        for k in range(a, b)
-    ]
-    return aggregate_fine_increments(mode_index, fine, grid.tau_fine)
-
-
 class NoiseRealization:
     """All fine increments of one Monte Carlo sample, plus exact coarsening.
 
@@ -247,7 +210,8 @@ class NoiseRealization:
     reused by every resolution that shares the sample, which is what makes
     the coupled error of a coarse path against the reference pathwise
     meaningful.  The strong-error study draws the same values one fine step
-    at a time instead (:class:`IncrementStream`, :class:`Coarsener`).
+    at a time instead (:class:`IncrementStream`); both coarsen through
+    :class:`Coarsener`.
     """
 
     def __init__(self, grid: NoiseGrid, master_seed: int, sample_index: int):
@@ -268,13 +232,13 @@ class NoiseRealization:
 
     def increments(self, n_modes: int, n_steps: int) -> np.ndarray:
         """Increment matrix for a path at (n_modes, n_steps), shape (M, N)."""
-        g = self.grid
-        sub = _substeps(g, n_modes, n_steps)
-        blocks = self.fine_matrix[:, :n_modes].reshape(n_steps, sub, n_modes)
-        w = convolution_weights(eigenvalues(n_modes), sub, g.tau_fine)
-        out = w[0] * blocks[:, 0]
-        for j in range(1, sub):
-            out += w[j] * blocks[:, j]
+        coarsener = Coarsener(self.grid, n_modes, n_steps)
+        out = np.empty((n_steps, n_modes))
+        rows = iter(out)
+        for m, fine in enumerate(self.fine_matrix):
+            coarse = coarsener.push(m, fine)
+            if coarse is not None:
+                next(rows)[:] = coarse
         return out
 
 

@@ -74,13 +74,6 @@ def grid_points(grid_size: int) -> np.ndarray:
     return np.arange(1, grid_size + 1) / (grid_size + 1.0)
 
 
-def eigenvalue(i: int) -> float:
-    """Dirichlet Laplacian eigenvalue pi^2 i^2 of mode i >= 1."""
-    if i < 1:
-        raise ValueError(f"mode index must be >= 1, got {i}")
-    return np.pi ** 2 * float(i) ** 2
-
-
 def eigenvalues(n_modes: int) -> np.ndarray:
     """Vector (lambda_1, ..., lambda_N)."""
     if n_modes < 1:
@@ -89,32 +82,24 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     return np.pi ** 2 * i ** 2
 
 
-def semigroup_factor(i: int, t: float) -> float:
-    """Heat semigroup weight exp(-lambda_i t) of mode i at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return float(np.exp(-eigenvalue(i) * t))
+def eigenvalue(i: int) -> float:
+    """Dirichlet Laplacian eigenvalue pi^2 i^2 of mode i >= 1."""
+    return float(eigenvalues(i)[-1])
 
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
+    """Heat semigroup weights exp(-lambda_i t) of modes 1..N at time t >= 0."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return np.exp(-eigenvalues(n_modes) * t)
 
 
-def phi_factor(i: int, tau: float) -> float:
-    """Exponential-integrator drift weight (1 - exp(-lambda_i tau)) / lambda_i.
+def phi_factors(n_modes: int, tau: float) -> np.ndarray:
+    """Exponential-integrator drift weights (1 - exp(-lambda_i tau)) / lambda_i.
 
     Evaluated as tau * (1 - e^{-x}) / x with x = lambda_i tau so that the
     x -> 0 limit returns tau to full precision instead of cancelling.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    x = eigenvalue(i) * tau
-    return float(tau * (-np.expm1(-x) / x))
-
-
-def phi_factors(n_modes: int, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     x = eigenvalues(n_modes) * tau

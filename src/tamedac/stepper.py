@@ -13,7 +13,8 @@ though the cubic grows super-linearly.
 :class:`PathBlock` is the one stepping kernel: it advances a block of
 paths at one resolution, one row per Monte Carlo sample.  Rows never
 interact, so every row equals a block-of-one run bit for bit;
-:func:`simulate_path` and :func:`step` are the one-row case.
+:func:`simulate_path` is the one-row case, and a single step is a path
+with n_steps = 1 (horizon_T = tau).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BlowupError
-from .model import ModelParams, _drift_raw, _tamed_drift_raw, _resolve_grid
+from .model import ModelParams, _drift_raw, _resolve_grid
 from .spectral import (
     SpectralField,
     phi_factors,
@@ -36,21 +37,6 @@ from .spectral import (
 # threshold unreachable, so crossing it signals a bug or an intentionally
 # untamed run.
 BLOWUP_THRESHOLD = 1e12
-
-
-@dataclass(frozen=True)
-class SchemeState:
-    """Current field of a running discretization, with its step position."""
-
-    field: SpectralField
-    step_index: int
-    tau: float
-
-    def __post_init__(self):
-        if self.step_index < 0:
-            raise ValueError("step_index must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -70,15 +56,16 @@ class PathBlock:
 
     def __init__(self, params: ModelParams, coeffs: np.ndarray, tau: float,
                  sample_indices: Sequence[int | None] | None = None, *,
-                 tamed: bool = True, grid_size: int | None = None, step_index: int = 0):
+                 tamed: bool = True):
         self.params = params
         self.coeffs = coeffs
         self.tau = tau
-        self.step_index = step_index
+        self.step_index = 0
         n_modes = coeffs.shape[-1]
         self._samples = sample_indices
-        self._tamed = tamed
-        self._grid = _resolve_grid(params, n_modes, grid_size)
+        # The drift's step size: None turns taming off.
+        self._taming = tau if tamed else None
+        self._grid = _resolve_grid(params, n_modes, None)
         self._decay = semigroup_factors(n_modes, tau)
         self.weights = phi_factors(n_modes, tau)
 
@@ -96,10 +83,7 @@ class PathBlock:
         `noise` holds the rows' increments for this step (zero if None).
         """
         try:
-            if self._tamed:
-                drift = _tamed_drift_raw(self.params, self.coeffs, self.tau, self._grid)
-            else:
-                drift = _drift_raw(self.params, self.coeffs, self._grid)
+            drift = _drift_raw(self.params, self.coeffs, self._grid, self._taming)
         except BlowupError as exc:
             raise self._blowup(str(exc), exc.sample_index) from None
         out = self._decay * self.coeffs + self.weights * drift
@@ -122,24 +106,9 @@ class PathBlock:
         )
 
 
-def step(state: SchemeState, params: ModelParams, noise_increments,
-         *, tamed: bool = True, grid_size: int | None = None) -> SchemeState:
-    """Advance one step given per-mode noise increments (zeros for none)."""
-    n = state.field.n_modes
-    noise = np.asarray(noise_increments, dtype=np.float64)
-    if noise.shape != (n,):
-        raise ValueError(f"noise_increments must have length {n}, got shape {noise.shape}")
-    block = PathBlock(params, state.field.coeffs[None, :], state.tau, tamed=tamed,
-                      grid_size=grid_size, step_index=state.step_index)
-    block.step(noise)
-    return SchemeState(field=SpectralField(block.coeffs[0]), step_index=block.step_index,
-                       tau=state.tau)
-
-
 def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
                   increments: np.ndarray | None = None, *,
                   tamed: bool = True, record_steps: Iterable[int] = (),
-                  grid_size: int | None = None, check_bounds: bool = False,
                   sample_index: int | None = None,
                   observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
                   ) -> PathResult:
@@ -158,8 +127,6 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
         Disable only to demonstrate divergence of the untamed scheme.
     record_steps:
         Completed-step indices (0 = initial data) to snapshot.
-    check_bounds:
-        Assert the tamed-increment bound ||phi . d|| < phi_1 / tau each step.
     observer:
         Called as observer(step_index, coeffs, drift) after every step;
         intended for diagnostics, not for mutating the state.
@@ -173,17 +140,13 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
                 f"increments must have shape {(n_steps, n_modes)}, got {increments.shape}"
             )
     block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,),
-                                      tamed=tamed, grid_size=grid_size)
-    bound = block.weights[0] / block.tau
+                                      tamed=tamed)
     wanted = set(record_steps)
     snapshots: dict[int, SpectralField] = {}
     if 0 in wanted:
         snapshots[0] = SpectralField(block.coeffs[0])
     for m in range(n_steps):
         drift = block.step(None if increments is None else increments[m])[0]
-        if check_bounds and tamed:
-            assert np.linalg.norm(block.weights * drift) <= bound * (1.0 + 1e-12), \
-                "tamed drift increment exceeded its bound"
         if observer is not None:
             observer(m + 1, block.coeffs[0], drift)
         if m + 1 in wanted:

@@ -2,9 +2,12 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 the cubic expansion works with the product-to-sum identity for sines, the
-quadrature helpers sum grid values directly, and the slope oracle goes
+quadrature helpers sum grid values directly, the coarse noise increments
+are summed mode by mode with scalar weights, and the slope oracle goes
 through numpy's polynomial fit.
 """
+
+import math
 
 import numpy as np
 
@@ -72,3 +75,22 @@ def polyfit_slope(resolutions, errors) -> float:
     x = -np.log2(np.asarray(resolutions, dtype=np.float64))
     y = np.log2(np.asarray(errors, dtype=np.float64))
     return float(np.polyfit(x, y, 1)[0])
+
+
+def split_interval_increments(fine: np.ndarray, n_modes: int, n_steps: int,
+                              tau_fine: float) -> np.ndarray:
+    """Coarse convolution increments from fine ones, shape (n_steps, n_modes).
+
+    Mode i of coarse step m sums the R = m_fine / n_steps fine increments
+    of its interval as exp(-lambda_i tau_f (R - 1 - k)) fine[m R + k, i],
+    k = 0..R-1, with lambda_i = (pi i)^2 and each weight taken from
+    math.exp.
+    """
+    fine = np.asarray(fine, dtype=np.float64)
+    sub = fine.shape[0] // n_steps
+    out = np.empty((n_steps, n_modes))
+    for i in range(1, n_modes + 1):
+        lam = (math.pi * i) ** 2
+        weights = np.array([math.exp(-lam * tau_fine * (sub - 1 - k)) for k in range(sub)])
+        out[:, i - 1] = fine[:, i - 1].reshape(n_steps, sub) @ weights
+    return out

@@ -12,11 +12,14 @@ from tamedac import (
     eval_poly,
     l2_norm,
     nonlinearity_galerkin,
+    phi_factors,
+    semigroup_factors,
     simulate_path,
     synthesize,
     tamed_drift,
 )
-from tamedac.model import _tamed_drift_raw
+from tamedac.model import _drift_raw
+from tamedac.spectral import _analyze_raw, _synthesize_raw
 
 from oracles import odd_drift_expansion, quadrature_inner, tamed_odd_drift
 
@@ -159,10 +162,16 @@ def test_even_content_keeps_wide_grid():
             == nonlinearity_galerkin(params, fld, grid_size=k).coeffs.tobytes())
     assert (tamed_drift(params, fld, 0.01).coeffs.tobytes()
             == tamed_drift(params, fld, 0.01, grid_size=k).coeffs.tobytes())
-    increments = np.random.default_rng(5).standard_normal((16, n)) * 0.05
-    default = simulate_path(params, n, 16, increments).terminal.coeffs
-    explicit = simulate_path(params, n, 16, increments, grid_size=k).terminal.coeffs
-    assert default.tobytes() == explicit.tobytes()
+    # A step of a path uses the same wide grid.
+    tau = 1.0 / 16
+    noise = np.random.default_rng(5).standard_normal((1, n)) * 0.05
+    one_step = ModelParams(a3=-1.0, a2=0.8, a1=1.0, a0=0.3, horizon_T=tau,
+                           initial_data=fld)
+    stepped = simulate_path(one_step, n, 1, noise).terminal.coeffs
+    explicit = (semigroup_factors(n, tau) * fld.coeffs
+                + phi_factors(n, tau) * tamed_drift(params, fld, tau, grid_size=k).coeffs)
+    explicit += noise[0]
+    assert stepped.tobytes() == explicit.tobytes()
 
 
 class TestTamedDrift:
@@ -252,7 +261,7 @@ class TestTamedDrift:
                              initial_data=SpectralField([1.0]))
         rows = np.random.default_rng(3).standard_normal((5, 128))
         rows[2] *= huge
-        block = _tamed_drift_raw(params, rows, 0.01, dealias_grid_size(128))
+        block = _drift_raw(params, rows, dealias_grid_size(128), 0.01)
         for row, got in zip(rows, block):
             alone = tamed_drift(params, SpectralField(row), 0.01).coeffs
             assert got.tobytes() == alone.tobytes()
@@ -262,6 +271,17 @@ class TestTamedDrift:
             f_n = nonlinearity_galerkin(params, SpectralField(rows[r])).coeffs
             plain = f_n / (1.0 + 0.01 * np.linalg.norm(f_n))
             assert block[r].tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e41, 1e60])
+    def test_untamed_drift_is_never_rescaled(self, amplitude):
+        # Without a step size the drift is the plain pseudospectral F_N,
+        # also beyond the amplitude where the tamed drift rescales.
+        params = ModelParams(a3=-1.0, a2=0.5, a1=1.0, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        rows = np.random.default_rng(6).standard_normal((3, 16)) * amplitude
+        k = 4 * 16 - 1
+        plain = _analyze_raw(eval_poly(params, _synthesize_raw(rows, k)), 16)
+        assert _drift_raw(params, rows, k).tobytes() == plain.tobytes()
 
     def test_moderate_field_strictly_below_bound(self, double_well):
         out = tamed_drift(double_well, SpectralField([3.0, -2.0]), tau=0.5)

@@ -7,8 +7,6 @@ from tamedac import (
     NoiseGrid,
     NoiseKey,
     NoiseRealization,
-    aggregate_fine_increments,
-    aggregate_to_coarse,
     eigenvalue,
     increment_variance,
     increment_variances,
@@ -18,6 +16,8 @@ from tamedac import (
 from tamedac.errors import AlignmentError, ResolutionError
 from tamedac.experiments import resolution_pair
 from tamedac.noise import Coarsener, IncrementStream, NormalStream, convolution_weights
+
+from oracles import split_interval_increments
 
 # The resolution ladders of the benchmark workloads, at reference 1024.
 BENCHMARK_LADDERS = {
@@ -148,8 +148,51 @@ class TestStreamedNoise:
             for row, s in zip(rows, (4, 2)):
                 assert row.tobytes() == NoiseRealization(grid, 17, s).fine_matrix[m].tobytes()
 
+
+class TestAggregation:
+    def test_single_substep_is_identity(self):
+        grid = NoiseGrid(n_modes=2, m_fine=8, tau_fine=1 / 8)
+        fine = sample_fine_increment(NoiseKey(3, 1, 2, 5), grid)
+        coarse = NoiseRealization(grid, master_seed=3, sample_index=1).increments(2, 8)
+        assert coarse[5, 1] == pytest.approx(fine, rel=1e-15)
+
+    def test_two_substep_weights(self):
+        # Unit fine increments make the aggregate e^{-lam tau_f} + 1.
+        tau_f = 1 / 4
+        coarsener = Coarsener(NoiseGrid(n_modes=3, m_fine=2, tau_fine=tau_f), 3, 1)
+        assert coarsener.push(0, np.ones(3)) is None
+        expected = np.exp(-eigenvalue(3) * tau_f) + 1.0
+        assert coarsener.push(1, np.ones(3))[2] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("i", [1, 4, 32])
+    @pytest.mark.parametrize("n_sub", [2, 8, 64])
+    def test_aggregated_variance_identity(self, i, n_sub):
+        # Substituting the fine variances into the weighted sum reproduces the
+        # coarse variance exactly.
+        tau_f = 1 / 1024
+        w = convolution_weights(eigenvalue(i), n_sub, tau_f)
+        fine_var = increment_variance(i, tau_f)
+        agg_var = float(np.sum(w ** 2) * fine_var)
+        assert agg_var == pytest.approx(
+            increment_variance(i, n_sub * tau_f), rel=1e-14
+        )
+
+    def test_aggregated_variance_statistical(self):
+        # About 1e5 draws of an 8-substep aggregate: 1024 modes of 98
+        # samples, each mode standardized by its coarse standard deviation.
+        # A plain sum of the fine increments would read about 8.
+        n_modes, n_samples, n_sub, tau_f = 1024, 98, 8, 1 / 64
+        grid = NoiseGrid(n_modes=n_modes, m_fine=n_sub, tau_fine=tau_f)
+        draws = np.stack([NoiseRealization(grid, 11, s).increments(n_modes, 1)[0]
+                          for s in range(n_samples)])
+        draws /= np.sqrt(increment_variances(n_modes, n_sub * tau_f))
+        assert draws.size >= 100_000
+        assert draws.var() == pytest.approx(1.0, rel=0.05)
+
     @pytest.mark.parametrize("mode", sorted(BENCHMARK_LADDERS))
-    def test_streamed_coarsening_equals_increments(self, mode):
+    def test_increments_match_split_interval_oracle(self, mode):
+        # Both routes into Coarsener, the matrix one of a single sample and
+        # the stream of a block of samples, against the per-mode sum.
         ref = 1024
         grid = NoiseGrid.for_horizon(1.0, ref, ref)
         samples = (0, 1)
@@ -166,71 +209,13 @@ class TestStreamedNoise:
         for row, s in enumerate(samples):
             realization = NoiseRealization(grid, 9, s)
             for pair, out in zip(pairs, streamed):
-                expected = realization.increments(*pair)
-                got = np.stack([coarse[row] for coarse in out])
-                assert got.tobytes() == expected.tobytes()
-
-
-class TestAggregation:
-    def test_single_substep_is_identity(self):
-        grid = NoiseGrid(n_modes=2, m_fine=8, tau_fine=1 / 8)
-        key = NoiseKey(3, 1, 2, 5)
-        fine = sample_fine_increment(key, grid)
-        agg = aggregate_to_coarse(2, 5 / 8, 6 / 8, grid, master_seed=3, sample_index=1)
-        assert agg == pytest.approx(fine, rel=1e-15)
-
-    def test_two_substep_weights(self):
-        # Unit fine increments make the aggregate e^{-lam tau_f} + 1.
-        tau_f = 1 / 4
-        expected = np.exp(-eigenvalue(3) * tau_f) + 1.0
-        assert aggregate_fine_increments(3, [1.0, 1.0], tau_f) == pytest.approx(
-            expected, rel=1e-14
-        )
-
-    @pytest.mark.parametrize("i", [1, 4, 32])
-    @pytest.mark.parametrize("n_sub", [2, 8, 64])
-    def test_aggregated_variance_identity(self, i, n_sub):
-        # Substituting the fine variances into the weighted sum reproduces the
-        # coarse variance exactly.
-        tau_f = 1 / 1024
-        w = convolution_weights(eigenvalue(i), n_sub, tau_f)
-        fine_var = increment_variance(i, tau_f)
-        agg_var = float(np.sum(w ** 2) * fine_var)
-        assert agg_var == pytest.approx(
-            increment_variance(i, n_sub * tau_f), rel=1e-14
-        )
-
-    def test_aggregated_variance_statistical(self):
-        # 1e5 coupled draws of an 8-substep aggregate.
-        n_samples, n_sub, tau_f, mode = 100_000, 8, 1 / 64, 1
-        grid = NoiseGrid(n_modes=1, m_fine=n_sub, tau_fine=tau_f)
-        draws = np.empty(n_samples)
-        for s in range(n_samples):
-            draws[s] = NoiseRealization(grid, 11, s).increments(1, 1)[0, 0]
-        assert draws.var() == pytest.approx(
-            increment_variance(mode, n_sub * tau_f), rel=0.05
-        )
-
-    def test_misaligned_interval_rejected(self):
-        grid = NoiseGrid(n_modes=1, m_fine=8, tau_fine=1 / 8)
-        with pytest.raises(AlignmentError):
-            aggregate_to_coarse(1, 0.0, 0.3, grid, 0, 0)
-        with pytest.raises(AlignmentError):
-            aggregate_to_coarse(1, 0.5, 0.5, grid, 0, 0)
-        with pytest.raises(AlignmentError):
-            aggregate_to_coarse(1, 0.0, 1.5, grid, 0, 0)
-
-    def test_scalar_and_matrix_routes_agree(self):
-        # aggregate_to_coarse must reproduce the entries the study machinery
-        # consumes through NoiseRealization.increments.
-        grid = NoiseGrid(n_modes=3, m_fine=8, tau_fine=1 / 8)
-        realization = NoiseRealization(grid, master_seed=21, sample_index=4)
-        coarse = realization.increments(3, 2)
-        for m in range(2):
-            for i in range(1, 4):
-                direct = aggregate_to_coarse(i, m * 0.5, (m + 1) * 0.5, grid,
-                                             master_seed=21, sample_index=4)
-                assert direct == pytest.approx(coarse[m, i - 1], rel=1e-12)
+                expected = split_interval_increments(realization.fine_matrix, *pair,
+                                                     grid.tau_fine)
+                scale = np.linalg.norm(expected, axis=0)
+                for got in (realization.increments(*pair),
+                            np.stack([coarse[row] for coarse in out])):
+                    assert got.shape == expected.shape
+                    assert np.all(np.linalg.norm(got - expected, axis=0) <= 1e-13 * scale)
 
 
 class TestNoiseRealization:

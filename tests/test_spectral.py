@@ -12,10 +12,8 @@ from tamedac import (
     eigenvalues,
     grid_points,
     l2_norm,
-    phi_factor,
     phi_factors,
     project,
-    semigroup_factor,
     semigroup_factors,
     sobolev_norm,
     sup_norm_estimate,
@@ -58,22 +56,21 @@ class TestEigenvalue:
 
 class TestSemigroupFactor:
     def test_identity_at_time_zero(self):
-        assert semigroup_factor(1, 0.0) == 1.0
-        assert semigroup_factor(123, 0.0) == 1.0
+        assert np.all(semigroup_factors(123, 0.0) == 1.0)
 
     def test_mode_one_unit_time(self):
-        assert semigroup_factor(1, 1.0) == pytest.approx(EXP_NEG_PI_SQ, rel=1e-14)
+        assert semigroup_factors(1, 1.0)[0] == pytest.approx(EXP_NEG_PI_SQ, rel=1e-14)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            semigroup_factor(1, -0.1)
+            semigroup_factors(1, -0.1)
 
     def test_monotone_in_time_and_mode(self):
-        assert semigroup_factor(1, 0.1) > semigroup_factor(1, 0.2)
-        assert semigroup_factor(1, 0.1) > semigroup_factor(2, 0.1)
+        assert np.all(semigroup_factors(8, 0.1) > semigroup_factors(8, 0.2))
+        assert np.all(np.diff(semigroup_factors(8, 0.1)) < 0)
 
     def test_graceful_underflow(self):
-        assert semigroup_factor(100, 100.0) == 0.0
+        assert np.all(semigroup_factors(100, 100.0) == 0.0)
 
     @given(
         i=st.integers(min_value=1, max_value=64),
@@ -81,42 +78,36 @@ class TestSemigroupFactor:
         t=st.floats(min_value=0.0, max_value=3.0),
     )
     def test_semigroup_law(self, i, s, t):
-        combined = semigroup_factor(i, s + t)
-        split = semigroup_factor(i, s) * semigroup_factor(i, t)
+        combined = semigroup_factors(i, s + t)[-1]
+        split = semigroup_factors(i, s)[-1] * semigroup_factors(i, t)[-1]
         assert split == pytest.approx(combined, rel=1e-14, abs=1e-300)
 
 
 class TestPhiFactor:
     def test_mode_one_unit_tau(self):
-        assert phi_factor(1, 1.0) == pytest.approx(PHI_MODE1_TAU1, rel=1e-14)
+        assert phi_factors(1, 1.0)[0] == pytest.approx(PHI_MODE1_TAU1, rel=1e-14)
 
     def test_small_argument_limit_returns_tau(self):
         tau = 1e-12 / PI_SQ   # lambda_1 tau = 1e-12
-        assert phi_factor(1, tau) == pytest.approx(tau, rel=1e-12)
+        assert phi_factors(1, tau)[0] == pytest.approx(tau, rel=1e-12)
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ValueError):
-            phi_factor(1, 0.0)
+            phi_factors(1, 0.0)
         with pytest.raises(ValueError):
-            phi_factor(1, -1.0)
+            phi_factors(1, -1.0)
 
     @given(
         i=st.integers(min_value=1, max_value=4096),
         tau=st.floats(min_value=1e-12, max_value=10.0),
     )
     def test_bounds_and_partition_identity(self, i, tau):
-        phi = phi_factor(i, tau)
+        phi = phi_factors(i, tau)[-1]
         assert 0.0 < phi < tau
         # phi lambda + exp(-lambda tau) telescopes to 1 exactly.
-        assert phi * eigenvalue(i) + semigroup_factor(i, tau) == pytest.approx(
+        assert phi * eigenvalue(i) + semigroup_factors(i, tau)[-1] == pytest.approx(
             1.0, abs=1e-15
         )
-
-    def test_vector_matches_scalar(self):
-        tau = 0.037
-        vec = phi_factors(5, tau)
-        for i in range(1, 6):
-            assert vec[i - 1] == pytest.approx(phi_factor(i, tau), rel=1e-15)
 
 
 class TestTransforms:

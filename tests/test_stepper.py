@@ -5,11 +5,12 @@ from tamedac import (
     ModelParams,
     NoiseGrid,
     NoiseRealization,
-    SchemeState,
     SpectralField,
     l2_norm,
+    phi_factors,
+    semigroup_factors,
     simulate_path,
-    step,
+    tamed_drift,
 )
 from tamedac.errors import BlowupError
 
@@ -31,46 +32,54 @@ def nearly_linear_params() -> ModelParams:
                        initial_data=SpectralField([INV_SQRT2]))
 
 
+def one_step(params: ModelParams, initial, tau: float, noise=None) -> np.ndarray:
+    """Coefficients after one step of size tau from `initial`.
+
+    A single step is a one-step path whose horizon is the step size.
+    """
+    start = ModelParams(a3=params.a3, a2=params.a2, a1=params.a1, a0=params.a0,
+                        horizon_T=tau, initial_data=SpectralField(initial))
+    inc = None if noise is None else np.asarray(noise)[None, :]
+    return simulate_path(start, len(initial), 1, inc).terminal.coeffs
+
+
 class TestStep:
     def test_zero_field_is_fixed_point(self, double_well):
-        state = SchemeState(field=SpectralField.zeros(4), step_index=0, tau=0.1)
-        out = step(state, double_well, np.zeros(4))
-        assert np.all(out.field.coeffs == 0.0)
-        assert out.step_index == 1
+        out = one_step(double_well, np.zeros(4), 0.1, np.zeros(4))
+        assert np.all(out == 0.0)
 
     def test_one_step_closed_form(self, double_well):
-        state = SchemeState(field=SpectralField([INV_SQRT2, 0.0, 0.0, 0.0]),
-                            step_index=0, tau=0.01)
-        out = step(state, double_well, np.zeros(4))
-        assert out.field.coeffs == pytest.approx(ONE_STEP_EXPECTED, rel=1e-12, abs=1e-18)
+        out = one_step(double_well, [INV_SQRT2, 0.0, 0.0, 0.0], 0.01, np.zeros(4))
+        assert out == pytest.approx(ONE_STEP_EXPECTED, rel=1e-12, abs=1e-18)
 
     def test_noise_increment_is_added_verbatim(self, double_well):
-        state = SchemeState(field=SpectralField.zeros(3), step_index=0, tau=0.1)
         noise = np.array([0.5, -0.25, 0.125])
-        out = step(state, double_well, noise)
-        assert out.field.coeffs == pytest.approx(noise)
+        out = one_step(double_well, np.zeros(3), 0.1, noise)
+        assert out == pytest.approx(noise)
 
     def test_rejects_wrong_noise_length(self, double_well):
-        state = SchemeState(field=SpectralField.zeros(3), step_index=0, tau=0.1)
         with pytest.raises(ValueError):
-            step(state, double_well, np.zeros(4))
+            one_step(double_well, np.zeros(3), 0.1, np.zeros(4))
 
-    def test_state_validation(self):
+    def test_state_validation(self, double_well):
+        # A step needs a positive size: a zero horizon or no steps is rejected.
         with pytest.raises(ValueError):
-            SchemeState(field=SpectralField([1.0]), step_index=-1, tau=0.1)
+            one_step(double_well, [1.0], 0.0)
         with pytest.raises(ValueError):
-            SchemeState(field=SpectralField([1.0]), step_index=0, tau=0.0)
+            simulate_path(double_well, 1, 0)
 
 
 class TestSimulatePath:
     def test_single_step_path_equals_step(self, double_well):
-        params = ModelParams(a3=-1.0, a2=0.0, a1=1.0, a0=0.0, horizon_T=0.01,
-                             initial_data=SpectralField([INV_SQRT2]))
-        path = simulate_path(params, n_modes=4, n_steps=1)
-        state = SchemeState(field=SpectralField([INV_SQRT2, 0, 0, 0]),
-                            step_index=0, tau=0.01)
-        direct = step(state, params, np.zeros(4))
-        assert np.array_equal(path.terminal.coeffs, direct.field.coeffs)
+        # One step is exp(-lam tau) c + phi(tau) d with d the tamed drift.
+        tau = 0.01
+        initial = SpectralField([INV_SQRT2, 0, 0, 0])
+        path = simulate_path(ModelParams(a3=-1.0, a2=0.0, a1=1.0, a0=0.0, horizon_T=tau,
+                                         initial_data=SpectralField([INV_SQRT2])),
+                             n_modes=4, n_steps=1)
+        direct = (semigroup_factors(4, tau) * initial.coeffs
+                  + phi_factors(4, tau) * tamed_drift(double_well, initial, tau).coeffs)
+        assert np.array_equal(path.terminal.coeffs, direct)
 
     def test_nearly_linear_mode_matches_exact_solution(self):
         # Deterministic run of an effectively linear drift: the terminal
@@ -109,10 +118,21 @@ class TestSimulatePath:
         assert gaps[2] < gaps[1]
 
     def test_tamed_increment_bound_checked(self, double_well):
+        # Taming bounds every step's drift increment: ||phi . d|| <= phi_1 / tau.
+        tau = 1.0 / 8
+        weights = phi_factors(16, tau)
+        bound = weights[0] / tau * (1.0 + 1e-12)
+        increments = []
+
+        def watch(step_index, coeffs, drift):
+            increments.append(np.linalg.norm(weights * drift))
+
         grid = NoiseGrid.for_horizon(1.0, 8, 16)
         for s in range(10):
             inc = NoiseRealization(grid, 5, s).increments(16, 8)
-            simulate_path(double_well, 16, 8, inc, check_bounds=True)
+            simulate_path(double_well, 16, 8, inc, observer=watch)
+        assert len(increments) == 80
+        assert max(increments) <= bound
 
     def test_snapshots_recorded(self, double_well):
         path = simulate_path(double_well, 8, 4, record_steps={0, 2, 4})
