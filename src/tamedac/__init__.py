@@ -22,7 +22,7 @@ from .experiments import (
     sample_squared_errors,
     strong_error_study,
 )
-from .model import ModelParams, eval_poly, nonlinearity_galerkin, tamed_drift
+from .model import ModelParams, nonlinearity_galerkin, tamed_drift
 from .noise import (
     NoiseGrid,
     NoiseKey,
@@ -45,7 +45,6 @@ from .spectral import (
     phi_factors,
     project,
     semigroup_factors,
-    sobolev_norm,
     sup_norm_estimate,
     synthesize,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "eigenvalues",
     "emit_csv",
     "emit_loglog_plot",
-    "eval_poly",
     "fit_slope",
     "grid_points",
     "increment_variance",
@@ -92,7 +90,6 @@ __all__ = [
     "sample_squared_errors",
     "semigroup_factors",
     "simulate_path",
-    "sobolev_norm",
     "step_normals",
     "strong_error_study",
     "sup_norm_estimate",

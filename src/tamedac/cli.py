@@ -178,6 +178,8 @@ def _run_converge(opts: dict) -> int:
                            master_seed=opts["seed"], horizon_T=opts["horizon"], params=params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if len(config.resolutions) < 2:
+        raise UsageError("converge needs at least two resolutions to fit a slope")
     if opts["threads"] < 1:
         raise UsageError("threads must be positive")
 
@@ -240,6 +242,8 @@ def _run_diagnose(opts: dict) -> int:
     resolutions = _parse_resolutions(opts["resolutions"])
     if any(r < 1 for r in resolutions):
         raise UsageError("resolutions must be positive")
+    if opts["steps"] is not None and opts["steps"] < 1:
+        raise UsageError("steps must be positive")
     ref = 2 * math.lcm(*resolutions)
     try:
         config = RunConfig(mode="joint", resolutions=resolutions, ref_resolution=ref,

@@ -11,7 +11,8 @@ Samples are computed in blocks: one loop over the fine steps draws the
 block's fine increments, advances the reference, and feeds every rung of
 the ladder, which steps as soon as its coarse interval closes.  No noise
 matrix is ever materialized, and every sample's errors are the same bit
-for bit whichever block it is computed in.
+for bit whichever block it is computed in.  The moment diagnostics run
+their paths in the same blocks on the same streamed noise.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import BlowupError
 from .model import ModelParams
 from .noise import Coarsener, IncrementStream, NoiseGrid, NoiseRealization
-from .spectral import SpectralField, l2_norm, sup_norm_estimate
+from .spectral import _row_norms, _sup_norms
 from .stepper import PathBlock, simulate_path
 
 MODES = ("joint", "spatial", "temporal")
@@ -239,52 +240,62 @@ class MomentDiagnostics:
     all_finite: bool
 
 
+def _norm_block(config: RunConfig, n_modes: int, n_steps: int, samples: range,
+                tamed: bool, with_noise: bool) -> tuple[np.ndarray, int]:
+    """Sup, L2 and drift norms after every step of a block of paths.
+
+    Returns the norms, shape (3, observations) in sample-major order, and
+    the number of paths that blew up.  A block that blows up is rerun one
+    sample at a time, and a blown-up path keeps the steps it completed.
+    """
+    path = PathBlock.at_initial_data(config.params, n_modes, n_steps, samples, tamed=tamed)
+    # The noise grid is the path's own resolution, so no coarsening is needed.
+    grid = NoiseGrid.for_horizon(config.horizon_T, n_steps, n_modes)
+    noise = IncrementStream(grid, config.master_seed, samples) if with_noise else None
+    norms = []
+    blowups = 0
+    try:
+        for m in range(n_steps):
+            drift = path.step(None if noise is None else noise.at(m))
+            norms.append((_sup_norms(path.coeffs), _row_norms(path.coeffs)[:, 0],
+                          _row_norms(drift)[:, 0]))
+    except BlowupError:
+        if len(samples) > 1:
+            rows = [_norm_block(config, n_modes, n_steps, samples[i:i + 1], tamed, with_noise)
+                    for i in range(len(samples))]
+            return np.concatenate([r for r, _ in rows], axis=1), sum(b for _, b in rows)
+        blowups = 1
+    by_step = np.array(norms).reshape(-1, 3, len(samples))
+    return by_step.transpose(1, 2, 0).reshape(3, -1), blowups
+
+
 def moment_diagnostics(config: RunConfig, n_steps: int | None = None, *,
                        tamed: bool = True, with_noise: bool = True,
                        ) -> tuple[MomentDiagnostics, ...]:
     """Record sup-norm and L2 statistics over samples and steps.
 
     Runs one joint-style path per sample at every study resolution
-    (n_steps overrides the step count, e.g. to probe large step sizes).
-    Blown-up paths are counted rather than propagated, so an untamed run
-    reports how many samples diverged.
+    (n_steps overrides the step count, e.g. to probe large step sizes),
+    in blocks of samples.  Blown-up paths are counted rather than
+    propagated, so an untamed run reports how many samples diverged.
     """
+    if n_steps is not None and n_steps < 1:
+        raise ValueError("n_steps must be positive")
     reports = []
+    samples = range(config.samples)
     for r in config.resolutions:
         steps = n_steps if n_steps is not None else r
-        tau = config.horizon_T / steps
-        sup_vals: list[float] = []
-        l2_vals: list[float] = []
-        max_drift = 0.0
-        blowups = 0
-
-        def watch(step_index: int, coeffs: np.ndarray, drift: np.ndarray):
-            nonlocal max_drift
-            fld = SpectralField(coeffs)
-            sup_vals.append(sup_norm_estimate(fld))
-            l2_vals.append(l2_norm(fld))
-            max_drift = max(max_drift, float(np.linalg.norm(drift)))
-
-        for s in range(config.samples):
-            if with_noise:
-                grid = NoiseGrid.for_horizon(config.horizon_T, steps, r)
-                inc = NoiseRealization(grid, config.master_seed, s).increments(r, steps)
-            else:
-                inc = None
-            try:
-                simulate_path(config.params, r, steps, inc, tamed=tamed,
-                              sample_index=s, observer=watch)
-            except BlowupError:
-                blowups += 1
-        sup = np.array(sup_vals) if sup_vals else np.zeros(1)
-        l2 = np.array(l2_vals) if l2_vals else np.zeros(1)
+        blocks = [_norm_block(config, r, steps, samples[i:i + _BLOCK_SAMPLES], tamed, with_noise)
+                  for i in samples[::_BLOCK_SAMPLES]]
+        norms = np.concatenate([b for b, _ in blocks], axis=1)
+        sup, l2, drift = norms if norms.size else np.zeros((3, 1))
         reports.append(MomentDiagnostics(
-            resolution=r, n_steps=steps, tau=tau, samples=config.samples,
+            resolution=r, n_steps=steps, tau=config.horizon_T / steps, samples=config.samples,
             sup_max=float(sup.max()), sup_mean=float(sup.mean()),
             sup_p99=float(np.percentile(sup, 99)),
             l2_max=float(l2.max()), l2_mean=float(l2.mean()),
             l2_p99=float(np.percentile(l2, 99)),
-            max_drift_norm=max_drift, blowups=blowups,
+            max_drift_norm=float(drift.max()), blowups=sum(b for _, b in blocks),
             all_finite=bool(np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))),
         ))
     return tuple(reports)

@@ -24,6 +24,7 @@ from .spectral import (
     SQRT2,
     SpectralField,
     _analyze_raw,
+    _row_norms,
     _synthesize_raw,
     dealias_grid_size,
 )
@@ -68,15 +69,6 @@ class ModelParams:
 def eval_poly(params: ModelParams, v):
     """Evaluate f pointwise; accepts scalars or arrays."""
     return ((params.a3 * v + params.a2) * v + params.a1) * v + params.a0
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row as a 1-d dot product, shape (..., 1).
-
-    Every row equals np.linalg.norm of that row bit for bit, whatever the
-    other rows hold; a batched einsum would differ in the last bits.
-    """
-    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
 
 
 def _check_finite(peak: np.ndarray) -> None:

@@ -169,15 +169,26 @@ def project(fld: SpectralField, n_target: int) -> SpectralField:
     return SpectralField(out)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row as a 1-d dot product, shape (..., 1).
+
+    Every row equals np.linalg.norm of that row bit for bit, whatever the
+    other rows hold; a batched einsum would differ in the last bits.
+    """
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
+
+
 def l2_norm(fld: SpectralField) -> float:
     """L2(0,1) norm via the Parseval identity."""
-    return float(np.linalg.norm(fld.coeffs))
+    return float(_row_norms(fld.coeffs)[0])
 
 
-def sobolev_norm(fld: SpectralField, gamma: float) -> float:
-    """Fractional Sobolev norm sqrt(sum lambda_i^gamma c_i^2); gamma = 0 is L2."""
-    lam = eigenvalues(fld.n_modes)
-    return float(np.sqrt(np.sum(lam ** gamma * fld.coeffs ** 2)))
+def _sup_norms(coeffs: np.ndarray, grid_size: int | None = None) -> np.ndarray:
+    """:func:`sup_norm_estimate` of every row of `coeffs` (shape (..., N))."""
+    least = 4 * coeffs.shape[-1]
+    if grid_size is not None and grid_size < least:
+        raise ResolutionError(f"sup norm estimate needs grid_size >= {least}, got {grid_size}")
+    return np.abs(_synthesize_raw(coeffs, grid_size or least)).max(axis=-1)
 
 
 def sup_norm_estimate(fld: SpectralField, grid_size: int | None = None) -> float:
@@ -187,13 +198,7 @@ def sup_norm_estimate(fld: SpectralField, grid_size: int | None = None) -> float
     the default grid (4 points per mode) resolves every oscillation of the
     highest mode.  This is a diagnostic, not a proof-grade norm.
     """
-    if grid_size is None:
-        grid_size = 4 * fld.n_modes
-    elif grid_size < 4 * fld.n_modes:
-        raise ResolutionError(
-            f"sup norm estimate needs grid_size >= {4 * fld.n_modes}, got {grid_size}"
-        )
-    return float(np.max(np.abs(_synthesize_raw(fld.coeffs, grid_size))))
+    return float(_sup_norms(fld.coeffs, grid_size))
 
 
 def dealias_grid_size(n_modes: int) -> int:

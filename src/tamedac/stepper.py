@@ -11,16 +11,16 @@ is frozen over the step, and its taming keeps the update bounded even
 though the cubic grows super-linearly.
 
 :class:`PathBlock` is the one stepping kernel: it advances a block of
-paths at one resolution, one row per Monte Carlo sample.  Rows never
-interact, so every row equals a block-of-one run bit for bit;
-:func:`simulate_path` is the one-row case, and a single step is a path
-with n_steps = 1 (horizon_T = tau).
+paths at one resolution, one row per Monte Carlo sample, and each step
+returns the drift it used.  Rows never interact, so every row equals a
+block-of-one run bit for bit; :func:`simulate_path` is the one-row case,
+and a single step is a path with n_steps = 1 (horizon_T = tau).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,10 +108,8 @@ class PathBlock:
 
 def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
                   increments: np.ndarray | None = None, *,
-                  tamed: bool = True, record_steps: Iterable[int] = (),
-                  sample_index: int | None = None,
-                  observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-                  ) -> PathResult:
+                  record_steps: Iterable[int] = (),
+                  sample_index: int | None = None) -> PathResult:
     """Run the discretization from the projected initial data to the horizon.
 
     Parameters
@@ -123,13 +121,8 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
     increments:
         Per-step, per-mode stochastic convolution increments of shape
         (n_steps, n_modes), or None for the deterministic (noise-off) mode.
-    tamed:
-        Disable only to demonstrate divergence of the untamed scheme.
     record_steps:
         Completed-step indices (0 = initial data) to snapshot.
-    observer:
-        Called as observer(step_index, coeffs, drift) after every step;
-        intended for diagnostics, not for mutating the state.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -139,16 +132,13 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
             raise ValueError(
                 f"increments must have shape {(n_steps, n_modes)}, got {increments.shape}"
             )
-    block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,),
-                                      tamed=tamed)
+    block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,))
     wanted = set(record_steps)
     snapshots: dict[int, SpectralField] = {}
     if 0 in wanted:
         snapshots[0] = SpectralField(block.coeffs[0])
     for m in range(n_steps):
-        drift = block.step(None if increments is None else increments[m])[0]
-        if observer is not None:
-            observer(m + 1, block.coeffs[0], drift)
+        block.step(None if increments is None else increments[m])
         if m + 1 in wanted:
             snapshots[m + 1] = SpectralField(block.coeffs[0])
     return PathResult(terminal=SpectralField(block.coeffs[0]), snapshots=snapshots)

@@ -4,11 +4,13 @@ Standard library only: the names are read from the sources with ``ast``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import tamedac
+from tamedac.stepper import PathBlock
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tamedac"
@@ -18,12 +20,23 @@ PUBLIC_NAMES = {
     "GridField", "ModelParams", "MomentDiagnostics", "NoiseGrid", "NoiseKey",
     "NoiseRealization", "PathResult", "ResolutionError", "RunConfig", "SpectralField",
     "analyze", "coupled_terminal", "dealias_grid_size", "eigenvalue", "eigenvalues",
-    "emit_csv", "emit_loglog_plot", "eval_poly", "fit_slope", "grid_points",
+    "emit_csv", "emit_loglog_plot", "fit_slope", "grid_points",
     "increment_variance", "increment_variances", "l2_norm", "load_error_csv",
     "moment_diagnostics", "nonlinearity_galerkin", "phi_factors", "project",
     "resolution_pair", "sample_fine_increment", "sample_squared_errors",
-    "semigroup_factors", "simulate_path", "sobolev_norm", "step_normals",
+    "semigroup_factors", "simulate_path", "step_normals",
     "strong_error_study", "sup_norm_estimate", "synthesize", "tamed_drift",
+}
+
+
+# Parameter names of the entry points whose options are counted: adding an
+# option means editing this table.
+PARAMETERS = {
+    tamedac.simulate_path: ["params", "n_modes", "n_steps", "increments",
+                            "record_steps", "sample_index"],
+    PathBlock.__init__: ["self", "params", "coeffs", "tau", "sample_indices", "tamed"],
+    tamedac.moment_diagnostics: ["config", "n_steps", "tamed", "with_noise"],
+    tamedac.strong_error_study: ["config", "threads"],
 }
 
 
@@ -54,6 +67,11 @@ def test_public_names_are_pinned():
     assert set(tamedac.__all__) == PUBLIC_NAMES
     for name in tamedac.__all__:
         assert getattr(tamedac, name) is not None
+
+
+@pytest.mark.parametrize("function", PARAMETERS, ids=lambda f: f.__qualname__)
+def test_parameters_are_pinned(function):
+    assert list(inspect.signature(function).parameters) == PARAMETERS[function]
 
 
 @pytest.mark.parametrize("script", ["tests/test_acceptance.py", "perfbench/traced.py"])

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -166,6 +167,14 @@ class TestConvergeCommand:
         code = main(self.BASE + ["--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == 3
 
+    def test_single_resolution_rejected_before_sampling(self, tmp_path, capsys):
+        out = tmp_path / "errors.csv"
+        code = main(["converge", "--resolutions", "8", "--ref", "16", "--samples", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "at least two resolutions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_maps_to_exit_code_4(self, monkeypatch):
         import tamedac.cli as cli
 
@@ -207,3 +216,20 @@ class TestDiagnoseCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("resolution,steps,tau,samples,sup_max")
         assert len(lines) == 2
+
+    # sha256 prefixes of files written when every sample ran as its own path
+    # on its own noise matrix; running the samples in blocks changes no byte.
+    @pytest.mark.parametrize("flags, digest", [
+        ("--resolutions 8,16 --samples 5 --seed 7", "7d49557e3ef2426b"),
+        ("--resolutions 8,16 --samples 5 --seed 7 --steps 2", "73162abb6a93fef5"),
+        ("--samples 100 --seed 0", "5e90fe7d961b0ad4"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_steps_rejected(self, steps, capsys):
+        assert main(["diagnose", "--resolutions", "8", "--steps", steps]) == 2
+        assert "steps must be positive" in capsys.readouterr().err

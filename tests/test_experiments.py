@@ -9,6 +9,7 @@ import tamedac.stepper as stepper
 
 from tamedac import (
     ModelParams,
+    MomentDiagnostics,
     NoiseGrid,
     NoiseRealization,
     RunConfig,
@@ -19,9 +20,11 @@ from tamedac import (
     resolution_pair,
     sample_squared_errors,
     strong_error_study,
+    sup_norm_estimate,
 )
 from tamedac.errors import BlowupError
 from tamedac.experiments import _study_block
+from tamedac.stepper import PathBlock
 
 from oracles import polyfit_slope
 
@@ -40,6 +43,38 @@ def small_config(double_well, **overrides) -> RunConfig:
                 samples=8, master_seed=7, horizon_T=1.0, params=double_well)
     base.update(overrides)
     return RunConfig(**base)
+
+
+def per_sample_moments(config: RunConfig, n_steps=None, *, tamed=True,
+                       with_noise=True) -> tuple[MomentDiagnostics, ...]:
+    """moment_diagnostics one sample at a time, on each sample's noise matrix."""
+    reports = []
+    for r in config.resolutions:
+        steps = n_steps or r
+        grid = NoiseGrid.for_horizon(config.horizon_T, steps, r)
+        sup, l2, drift_norms, blowups = [], [], [0.0], 0
+        for s in range(config.samples):
+            inc = NoiseRealization(grid, config.master_seed, s).increments(r, steps)
+            path = PathBlock.at_initial_data(config.params, r, steps, (s,), tamed=tamed)
+            try:
+                for m in range(steps):
+                    drift = path.step(inc[m] if with_noise else None)[0]
+                    sup.append(sup_norm_estimate(SpectralField(path.coeffs[0])))
+                    l2.append(np.linalg.norm(path.coeffs[0]))
+                    drift_norms.append(np.linalg.norm(drift))
+            except BlowupError:
+                blowups += 1
+        sup, l2 = np.array(sup or [0.0]), np.array(l2 or [0.0])
+        reports.append(MomentDiagnostics(
+            resolution=r, n_steps=steps, tau=config.horizon_T / steps,
+            samples=config.samples, sup_max=float(sup.max()),
+            sup_mean=float(sup.mean()), sup_p99=float(np.percentile(sup, 99)),
+            l2_max=float(l2.max()), l2_mean=float(l2.mean()),
+            l2_p99=float(np.percentile(l2, 99)), max_drift_norm=float(max(drift_norms)),
+            blowups=blowups,
+            all_finite=bool(np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))),
+        ))
+    return tuple(reports)
 
 
 class TestRunConfig:
@@ -246,6 +281,32 @@ class TestMomentDiagnostics:
                            samples=5, master_seed=2, horizon_T=1.0, params=params)
         (report,) = moment_diagnostics(config, n_steps=4, tamed=False)
         assert report.blowups == 5
+        assert report == per_sample_moments(config, n_steps=4, tamed=False)[0]
+
+    # 1, 8 and 11 samples: a partial block, one full block, and one of each.
+    @pytest.mark.parametrize("samples", [1, 8, 11])
+    @pytest.mark.parametrize("options", [{}, {"n_steps": 4}, {"with_noise": False}],
+                             ids=["default", "n_steps", "no_noise"])
+    def test_blocks_equal_per_sample_paths(self, double_well, samples, options):
+        config = small_config(double_well, resolutions=(8, 16), ref_resolution=32,
+                              samples=samples, master_seed=3)
+        assert moment_diagnostics(config, **options) == per_sample_moments(config, **options)
+
+    def test_mixed_blowups_equal_per_sample_paths(self, double_well, monkeypatch):
+        # With the threshold lowered, some samples of a block blow up and
+        # others finish; the blown-up ones keep the steps they completed.
+        monkeypatch.setattr(stepper, "BLOWUP_THRESHOLD", 0.6)
+        config = small_config(double_well, resolutions=(8, 16), ref_resolution=32,
+                              samples=11, master_seed=1)
+        oracle = per_sample_moments(config)
+        assert all(0 < d.blowups < config.samples for d in oracle)
+        assert moment_diagnostics(config) == oracle
+
+    def test_rejects_nonpositive_step_count(self, double_well):
+        config = small_config(double_well, samples=1)
+        for n_steps in (0, -3):
+            with pytest.raises(ValueError, match="n_steps must be positive"):
+                moment_diagnostics(config, n_steps=n_steps)
 
 
 def test_parallel_study_reproduces_serial_report(double_well):

@@ -9,7 +9,6 @@ from tamedac import (
     SpectralField,
     analyze,
     dealias_grid_size,
-    eval_poly,
     l2_norm,
     nonlinearity_galerkin,
     phi_factors,
@@ -18,7 +17,7 @@ from tamedac import (
     synthesize,
     tamed_drift,
 )
-from tamedac.model import _drift_raw
+from tamedac.model import _drift_raw, eval_poly
 from tamedac.spectral import _analyze_raw, _synthesize_raw
 
 from oracles import odd_drift_expansion, quadrature_inner, tamed_odd_drift

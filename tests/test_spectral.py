@@ -15,18 +15,17 @@ from tamedac import (
     phi_factors,
     project,
     semigroup_factors,
-    sobolev_norm,
     sup_norm_estimate,
     synthesize,
 )
 from tamedac.errors import ResolutionError
+from tamedac.spectral import _row_norms, _sup_norms
 
 from oracles import quadrature_norm
 
 PI_SQ = 9.869604401089358
 EXP_NEG_PI_SQ = 5.172318620381231e-05   # exp(-pi^2)
 PHI_MODE1_TAU1 = 0.10131594298788985    # (1 - exp(-pi^2)) / pi^2
-TWO_PI = 6.283185307179586
 
 
 def random_field(n_modes: int, seed: int, scale: float = 1.0) -> SpectralField:
@@ -193,16 +192,12 @@ class TestNorms:
         grid = synthesize(fld, 4 * n)
         assert quadrature_norm(grid.values) == pytest.approx(l2_norm(fld), rel=1e-10)
 
-    def test_sobolev_gamma_zero_is_l2(self):
-        fld = random_field(6, seed=7)
-        assert sobolev_norm(fld, 0.0) == pytest.approx(l2_norm(fld), rel=1e-14)
-
-    def test_sobolev_single_mode_scaling(self):
-        assert sobolev_norm(SpectralField([1.5]), 2.0) == pytest.approx(
-            PI_SQ * 1.5, rel=1e-13
-        )
-        fld = SpectralField([0.0, -0.5])
-        assert sobolev_norm(fld, 1.0) == pytest.approx(TWO_PI * 0.5, rel=1e-13)
+    @pytest.mark.parametrize("n", [1, 5, 17, 64])
+    def test_rows_of_a_block_equal_single_field_norms(self, n):
+        block = np.stack([random_field(n, seed=s, scale=10.0 ** s).coeffs for s in range(5)])
+        for row, l2, sup in zip(block, _row_norms(block)[:, 0], _sup_norms(block)):
+            assert l2 == l2_norm(SpectralField(row)) == np.linalg.norm(row)
+            assert sup == sup_norm_estimate(SpectralField(row))
 
 
 class TestSupNormEstimate:

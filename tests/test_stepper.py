@@ -13,6 +13,7 @@ from tamedac import (
     tamed_drift,
 )
 from tamedac.errors import BlowupError
+from tamedac.stepper import PathBlock
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -122,17 +123,13 @@ class TestSimulatePath:
         tau = 1.0 / 8
         weights = phi_factors(16, tau)
         bound = weights[0] / tau * (1.0 + 1e-12)
-        increments = []
-
-        def watch(step_index, coeffs, drift):
-            increments.append(np.linalg.norm(weights * drift))
-
         grid = NoiseGrid.for_horizon(1.0, 8, 16)
-        for s in range(10):
-            inc = NoiseRealization(grid, 5, s).increments(16, 8)
-            simulate_path(double_well, 16, 8, inc, observer=watch)
-        assert len(increments) == 80
-        assert max(increments) <= bound
+        inc = np.stack([NoiseRealization(grid, 5, s).increments(16, 8) for s in range(10)])
+        block = PathBlock.at_initial_data(double_well, 16, 8, range(10))
+        increments = [np.linalg.norm(weights * block.step(inc[:, m]), axis=-1)
+                      for m in range(8)]
+        assert np.size(increments) == 80
+        assert np.max(increments) <= bound
 
     def test_snapshots_recorded(self, double_well):
         path = simulate_path(double_well, 8, 4, record_steps={0, 2, 4})
@@ -149,8 +146,10 @@ class TestBlowup:
     def test_untamed_large_state_diverges(self, double_well):
         params = ModelParams(a3=-1.0, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
                              initial_data=SpectralField([50.0]))
+        block = PathBlock.at_initial_data(params, 64, 4, (3,), tamed=False)
         with pytest.raises(BlowupError) as info:
-            simulate_path(params, 64, 4, tamed=False, sample_index=3)
+            for _ in range(4):
+                block.step()
         assert info.value.sample_index == 3
         assert info.value.step_index is not None
 
