@@ -148,6 +148,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
             opts["ref"] = 2048
         if "samples" not in explicit:
             opts["samples"] = 1000
+    if opts["threads"] < 1:
+        raise UsageError("threads must be positive")
     return opts
 
 
@@ -180,8 +182,6 @@ def _run_converge(opts: dict) -> int:
         raise UsageError(str(exc)) from None
     if len(config.resolutions) < 2:
         raise UsageError("converge needs at least two resolutions to fit a slope")
-    if opts["threads"] < 1:
-        raise UsageError("threads must be positive")
 
     report = strong_error_study(config, threads=opts["threads"])
     print_report(report, sys.stdout)

@@ -67,8 +67,14 @@ class ModelParams:
 
 
 def eval_poly(params: ModelParams, v):
-    """Evaluate f pointwise; accepts scalars or arrays."""
-    return ((params.a3 * v + params.a2) * v + params.a1) * v + params.a0
+    """Evaluate f pointwise by Horner's rule, in one new array; accepts scalars or arrays."""
+    q = v * params.a3
+    q += params.a2
+    q *= v
+    q += params.a1
+    q *= v
+    q += params.a0
+    return q
 
 
 def _check_finite(peak: np.ndarray) -> None:
@@ -94,24 +100,29 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     return grid_size
 
 
-def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int,
-               tau: float | None = None) -> np.ndarray:
+def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int, tau: float | None = None,
+               *, work: np.ndarray | None = None, peak: float | None = None) -> np.ndarray:
     """Projected drift F_N of every row of `coeffs` (shape (..., N)).
 
     With a step size `tau`, the tamed drift F_N / (1 + tau ||F_N||) of each
     row instead, computed in rescaled arithmetic where F_N itself would
     overflow.  Each row is computed as if it were alone: rows that need no
     rescaling take the same operations with a scale of exactly 1, and the
-    untamed drift is never rescaled.
+    untamed drift is never rescaled.  A stepper passes its synthesis `work`
+    buffer and a bound `peak` on every |coefficient| if it knows one; neither
+    changes the result.
     """
-    values = _synthesize_raw(coeffs, grid_size)
+    n_modes = coeffs.shape[-1]
+    values = _synthesize_raw(coeffs, grid_size, work)
     limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
     # Block-wide maxima decide the common case in a few calls; written as a
-    # negated <= so that NaN takes the checked branch.
-    if tau is None or np.abs(values).max() <= limit:
+    # negated <= so that NaN takes the checked branch.  No grid value
+    # exceeds sqrt(2) N peak but for roundoff far inside the 1e-9 margin.
+    if (tau is None or (peak is not None and peak * SQRT2 * n_modes * (1 + 1e-9) < limit)
+            or np.abs(values).max() <= limit):
         inv_cube, q = 1.0, eval_poly(params, values)
     else:
-        # With s = peak / limit and w = v / s the quantity q = f(v) / s^3
+        # With s = max |v| / limit and w = v / s the quantity q = f(v) / s^3
         # stays representable.  Powers of s are formed by division so that
         # a huge s underflows to zero instead of raising.
         scale = np.maximum(np.abs(values).max(axis=-1, keepdims=True) / limit, 1.0)
@@ -119,7 +130,7 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int,
         q = ((params.a3 * w + params.a2 / scale) * w + params.a1 / scale / scale) * w \
             + params.a0 / scale / scale / scale
         inv_cube = 1.0 / scale / scale / scale
-    q_n = _analyze_raw(q, coeffs.shape[-1])
+    q_n = _analyze_raw(q, n_modes, overwrite=True)
     if not (np.abs(q_n).max() <= _NORM_LIMIT):
         q_peak = np.abs(q_n).max(axis=-1, keepdims=True)
         _check_finite(q_peak)
@@ -133,7 +144,8 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int,
     if tau is None:
         return q_n
     # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
-    return q_n / (inv_cube + tau * _row_norms(q_n))
+    q_n /= _row_norms(q_n) * tau + inv_cube
+    return q_n
 
 
 def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,

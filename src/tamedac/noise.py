@@ -23,14 +23,15 @@ same values bit for bit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import AlignmentError, ResolutionError
-from .spectral import eigenvalues
+from .spectral import eigenvalue, eigenvalues
 
 _U64_MAX = 2 ** 64 - 1
 
@@ -80,21 +81,27 @@ class NoiseGrid:
         return cls(n_modes=n_modes, m_fine=m_fine, tau_fine=horizon / m_fine)
 
 
+def _variances(lam, tau: float):
+    """tau * (1 - e^{-x}) / x with x = 2 lambda tau, for a float or an array."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    x = 2.0 * lam * tau
+    return tau * (-np.expm1(-x) / x)
+
+
 def increment_variances(n_modes: int, tau: float) -> np.ndarray:
     """Variances (1 - exp(-2 lambda_i tau)) / (2 lambda_i) of modes 1..N.
 
     Written as tau * (1 - e^{-x}) / x with x = 2 lambda_i tau, which is
     stable for x -> 0 and bounded by min(tau, 1 / (2 lambda_i)).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    x = 2.0 * eigenvalues(n_modes) * tau
-    return tau * (-np.expm1(-x) / x)
+    return _variances(eigenvalues(n_modes), tau)
 
 
+@lru_cache(maxsize=256)
 def increment_variance(mode_index: int, tau: float) -> float:
-    """Variance of one increment of mode `mode_index` over a step tau."""
-    return float(increment_variances(mode_index, tau)[-1])
+    """Variance of one increment of mode `mode_index` over a step tau, in O(1)."""
+    return float(_variances(eigenvalue(mode_index), tau))
 
 
 def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
@@ -123,9 +130,11 @@ class NormalStream:
         self._bit_gen = Philox(key=[master_seed, sample_index])
         self._generator = Generator(self._bit_gen)
         # A fresh Philox state: counter (0, 0, 0, 0), empty buffer.  Only
-        # the step word of this copy ever changes.
-        self._state = self._bit_gen.state
-        self._counter = self._state["state"]["counter"]
+        # the step word of this copy, held in lists for a faster setter, changes.
+        fresh = self._bit_gen.state
+        self._counter = fresh["state"]["counter"].tolist()
+        self._state = {**fresh, "buffer": fresh["buffer"].tolist(),
+                       "state": {"counter": self._counter, "key": fresh["state"]["key"].tolist()}}
 
     def normals(self, fine_step_index: int, count: int,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -173,6 +182,8 @@ class Coarsener:
 
     def push(self, fine_step_index: int, fine: np.ndarray) -> np.ndarray | None:
         """Take the fine increments (..., >= n_modes) of one fine step."""
+        if self._sub == 1:
+            return fine[..., : self.n_modes]  # its one weight is exp(0) = 1 exactly
         j = fine_step_index % self._sub
         part = self._weights[j] * fine[..., : self.n_modes]
         if j == 0:
@@ -192,9 +203,15 @@ def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
         raise ValueError(
             f"step {key.fine_step_index} outside grid with {grid.m_fine} steps"
         )
-    z = step_normals(key.master_seed, key.sample_index, key.fine_step_index,
-                     key.mode_index)[-1]
+    stream = _normal_stream(key.master_seed, key.sample_index, threading.get_ident())
+    z = stream.normals(key.fine_step_index, key.mode_index)[-1]
     return float(np.sqrt(increment_variance(key.mode_index, grid.tau_fine)) * z)
+
+
+@lru_cache(maxsize=8)
+def _normal_stream(master_seed: int, sample_index: int, thread: int) -> NormalStream:
+    """The NormalStream of (seed, sample) in one thread, kept to save its set-up."""
+    return NormalStream(master_seed, sample_index)
 
 
 def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float):

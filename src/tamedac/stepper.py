@@ -65,7 +65,10 @@ class PathBlock:
         self._samples = sample_indices
         # The drift's step size: None turns taming off.
         self._taming = tau if tamed else None
-        self._grid = _resolve_grid(params, n_modes, None)
+        # The drift's zero-padded synthesis input, reused by every step, and
+        # the coefficients a step has checked, with their largest magnitude.
+        self._work = np.zeros(coeffs.shape[:-1] + (_resolve_grid(params, n_modes, None),))
+        self._checked = (None, None)
         self._decay = semigroup_factors(n_modes, tau)
         self.weights = phi_factors(n_modes, tau)
 
@@ -82,18 +85,22 @@ class PathBlock:
 
         `noise` holds the rows' increments for this step (zero if None).
         """
+        checked, peak = self._checked
         try:
-            drift = _drift_raw(self.params, self.coeffs, self._grid, self._taming)
+            drift = _drift_raw(self.params, self.coeffs, self._work.shape[-1], self._taming,
+                               work=self._work, peak=peak if checked is self.coeffs else None)
         except BlowupError as exc:
             raise self._blowup(str(exc), exc.sample_index) from None
         out = self._decay * self.coeffs + self.weights * drift
         if noise is not None:
             out += noise
+        peak = np.abs(out).max()
         # Written as a negated <= so that a NaN coefficient fails too.
-        if not (np.abs(out).max() <= BLOWUP_THRESHOLD):
+        if not (peak <= BLOWUP_THRESHOLD):
             row = int(np.flatnonzero(~(np.abs(out).max(axis=-1) <= BLOWUP_THRESHOLD))[0])
             raise self._blowup(f"coefficient magnitude exceeded {BLOWUP_THRESHOLD:g}", row)
         self.coeffs = out
+        self._checked = (out, float(peak))
         self.step_index += 1
         return drift
 

@@ -51,6 +51,17 @@ class TestParsing:
     def test_unparsable_resolutions(self):
         assert main(["converge", "--resolutions", "4,eight", "--ref", "32"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--resolutions", "4,8", "--ref", "16", "--samples", "1", "--threads", "0"],
+        ["diagnose", "--resolutions", "8", "--samples", "2", "--threads", "0"],
+        ["simulate", "--resolutions", "8", "--threads", "-5"],
+    ])
+    def test_nonpositive_threads_rejected(self, argv, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "threads must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_paper_scale_defaults(self):
         args = build_parser().parse_args(["converge", "--paper-scale"])
         opts = _merge_options(args)
@@ -174,6 +185,19 @@ class TestConvergeCommand:
         assert code == 2
         assert "at least two resolutions" in capsys.readouterr().err
         assert not out.exists()
+
+    # sha256 prefixes of CSVs captured before the block step was made lean:
+    # a change of any bit of the study fails here.
+    @pytest.mark.parametrize("flags, digest", [
+        ("--mode joint --resolutions 4,8,16,32,64,128", "b65b05136cc70d69"),
+        ("--mode spatial --resolutions 4,8,16,32,64,128", "2b211733c4ce12eb"),
+        ("--mode temporal --resolutions 8,16,32,64,128", "b380abdd74bbb7fb"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "errors.csv"
+        argv = ["converge", *flags.split(), "--ref", "256", "--samples", "2", "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
     def test_blowup_maps_to_exit_code_4(self, monkeypatch):
         import tamedac.cli as cli

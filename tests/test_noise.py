@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from tamedac import (
     NoiseKey,
     NoiseRealization,
     eigenvalue,
+    eigenvalues,
     increment_variance,
     increment_variances,
     sample_fine_increment,
@@ -16,6 +20,7 @@ from tamedac import (
 from tamedac.errors import AlignmentError, ResolutionError
 from tamedac.experiments import resolution_pair
 from tamedac.noise import Coarsener, IncrementStream, NormalStream, convolution_weights
+from tamedac.stepper import PathBlock
 
 from oracles import split_interval_increments
 
@@ -56,6 +61,15 @@ class TestIncrementVariance:
         half = increment_variance(i, tau / 2)
         assert np.exp(-lam * tau) * half + half == pytest.approx(whole, rel=1e-14)
 
+    def test_scalar_is_the_vector_entry_bit_for_bit(self):
+        # increment_variance and eigenvalue take O(1) work per mode; they
+        # must still return the entries of their vector forms exactly.
+        assert [eigenvalue(i) for i in range(1, 4097)] == eigenvalues(4096).tolist()
+        for tau in (2.0, 1.0, 0.3, 1 / 16, 1 / 64, 1 / 256, 1 / 1024, 1 / 2048,
+                    1e-4, 1e-6, 1e-9, 1e-12):
+            got = [increment_variance(i, tau) for i in range(1, 4097)]
+            assert got == increment_variances(4096, tau).tolist()
+
     def test_vector_matches_scalar(self):
         tau = 1 / 64
         vec = increment_variances(6, tau)
@@ -80,6 +94,44 @@ class TestKeyedSampling:
         v0 = sample_fine_increment(base, grid)
         for key in others:
             assert sample_fine_increment(key, grid) != v0
+
+    def test_equals_a_fresh_generator_in_any_order(self):
+        # Keyed draws reuse a generator per (seed, sample): switching keys
+        # and going back in steps must leave every value as a fresh
+        # step_normals generator gives it.
+        grid = NoiseGrid(n_modes=40, m_fine=50, tau_fine=1 / 50)
+        sigma = np.sqrt(increment_variances(40, 1 / 50))
+        rng = np.random.default_rng(8)
+        for seed, sample, mode, step in rng.integers([0, 0, 1, 0], [3, 3, 41, 50], (200, 4)):
+            key = NoiseKey(int(seed), int(sample), int(mode), int(step))
+            z = step_normals(key.master_seed, key.sample_index, key.fine_step_index, int(mode))
+            assert sample_fine_increment(key, grid) == float(sigma[mode - 1] * z[-1])
+
+    def test_threads_draw_the_same_values(self):
+        # Threads on the same keys at once, switching as often as possible,
+        # must not disturb each other's generators.
+        grid = NoiseGrid(n_modes=16, m_fine=64, tau_fine=1 / 64)
+        keys = [NoiseKey(seed, 0, 1 + k % 16, k) for seed in (1, 2) for k in range(64)]
+        expected = [sample_fine_increment(key, grid) for key in keys]
+        results = {}
+
+        def draw(shift):
+            order = keys[shift:] + keys[:shift]
+            results[shift] = [sample_fine_increment(key, grid) for key in order * 20]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=draw, args=(shift,)) for shift in (0, 1, 2, 3)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for shift, got in results.items():
+            assert got == (expected[shift:] + expected[:shift]) * 20
 
     def test_mode_value_independent_of_how_many_are_drawn(self):
         few = step_normals(9, 4, 11, 3)
@@ -155,6 +207,22 @@ class TestAggregation:
         fine = sample_fine_increment(NoiseKey(3, 1, 2, 5), grid)
         coarse = NoiseRealization(grid, master_seed=3, sample_index=1).increments(2, 8)
         assert coarse[5, 1] == pytest.approx(fine, rel=1e-15)
+
+    def test_one_substep_coarsener_passes_fine_through(self, double_well):
+        # At the fine step size the one weight is exp(0) = 1: push returns
+        # the first n modes of the fine increments themselves, and stepping
+        # a path with them leaves the fine increments as they were.
+        grid = NoiseGrid(n_modes=12, m_fine=4, tau_fine=1 / 4)
+        stream = IncrementStream(grid, 3, [0, 1])
+        coarsener = Coarsener(grid, 8, 4)
+        path = PathBlock.at_initial_data(double_well, 8, 4, [0, 1])
+        for m in range(4):
+            fine = stream.at(m)
+            kept = fine.copy()
+            coarse = coarsener.push(m, fine)
+            assert coarse.tobytes() == fine[:, :8].tobytes()
+            path.step(coarse)
+            assert fine.tobytes() == kept.tobytes()
 
     def test_two_substep_weights(self):
         # Unit fine increments make the aggregate e^{-lam tau_f} + 1.

@@ -7,15 +7,20 @@ from tamedac import (
     NoiseRealization,
     SpectralField,
     l2_norm,
+    nonlinearity_galerkin,
     phi_factors,
     semigroup_factors,
     simulate_path,
     tamed_drift,
 )
 from tamedac.errors import BlowupError
+from tamedac.model import _SCALE_LIMIT
 from tamedac.stepper import PathBlock
 
+from oracles import odd_drift_expansion, tamed_odd_drift
+
 INV_SQRT2 = 0.7071067811865476
+SQRT2 = 1.4142135623730951
 
 # One tamed step from u = sin(pi x) with tau = 0.01 and N = 4, evaluated in
 # 40-digit arithmetic from the closed per-mode form
@@ -206,3 +211,130 @@ class TestModeStatistics:
         rms = np.sqrt(sq / samples)
         slope = np.polyfit(np.log2(np.array(offsets) / n_steps), np.log2(rms), 1)[0]
         assert 0.2 <= slope <= 0.6
+
+
+def params_with(a3=-1.0, a2=0.0, a1=1.0, a0=0.0) -> ModelParams:
+    return ModelParams(a3=a3, a2=a2, a1=a1, a0=a0, horizon_T=1.0,
+                       initial_data=SpectralField([INV_SQRT2]))
+
+
+def run_block(params, rows, tau, noises, tamed=True):
+    """Coefficients before every step, and the drift each step returned.
+
+    Also checks that nothing a step returned or was given changes later.
+    """
+    block = PathBlock(params, np.array(rows, dtype=np.float64), tau, tamed=tamed)
+    states, drifts, kept = [], [], []
+    for noise in noises:
+        states.append(block.coeffs)
+        drifts.append(block.step(noise))
+        kept += [(a, a.copy()) for a in (block.coeffs, drifts[-1], noise)]
+    for a, copy in kept:
+        assert a.tobytes() == copy.tobytes()
+    return states, drifts
+
+
+class TestLeanStep:
+    """Every step equals the one-row runs of its rows and the stand-alone drift."""
+
+    def check(self, params, rows, tau, noises, tamed=True, odd=True):
+        states, drifts = run_block(params, rows, tau, noises, tamed)
+        for r in range(len(rows)):
+            alone = run_block(params, rows[r:r + 1], tau, [n[r:r + 1] for n in noises], tamed)
+            for k, (state, drift) in enumerate(zip(states, drifts)):
+                assert state[r].tobytes() == alone[0][k][0].tobytes()
+                assert drift[r].tobytes() == alone[1][k][0].tobytes()
+                # The drift of a single field takes no workspace or bound.
+                fld = SpectralField(state[r])
+                exact = (tamed_drift(params, fld, tau) if tamed
+                         else nonlinearity_galerkin(params, fld)).coeffs
+                assert drift[r].tobytes() == exact.tobytes()
+                if not odd:
+                    continue
+                amplitude = np.abs(state[r]).max()
+                oracle = (tamed_odd_drift(state[r] / amplitude, amplitude, params.a3,
+                                          params.a1, tau) if tamed
+                          else odd_drift_expansion(state[r], params.a3, params.a1))
+                assert np.linalg.norm(drift[r] - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @staticmethod
+    def noises(rng, steps, shape, scale=1e-2):
+        return [scale * rng.standard_normal(shape) for _ in range(steps)]
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    def test_double_well(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        rows = 0.5 * rng.standard_normal((n_rows, 16))
+        self.check(params_with(), rows, 1 / 64, self.noises(rng, 5, rows.shape))
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    def test_even_content(self, n_rows):
+        rng = np.random.default_rng(10 + n_rows)
+        rows = 0.5 * rng.standard_normal((n_rows, 16))
+        self.check(params_with(a2=0.8, a0=0.3), rows, 1 / 64,
+                   self.noises(rng, 5, rows.shape), odd=False)
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    def test_untamed(self, n_rows):
+        rng = np.random.default_rng(20 + n_rows)
+        rows = 0.5 * rng.standard_normal((n_rows, 16))
+        self.check(params_with(), rows, 1 / 256, self.noises(rng, 5, rows.shape),
+                   tamed=False)
+
+    @pytest.mark.parametrize("a3, huge", [(-1.0, 1e11), (-1e120, 1e6)])
+    @pytest.mark.parametrize("n_rows", [3, 8])
+    def test_one_huge_row(self, n_rows, a3, huge):
+        # The huge row needs the rescaled cubic (a3 = -1e120 puts the grid
+        # limit near 1) or at least a block bound that proves nothing.
+        rng = np.random.default_rng(30 + n_rows)
+        rows = 1e-3 * rng.standard_normal((n_rows, 16))
+        rows[1] *= huge * 1e3
+        self.check(params_with(a3=a3), rows, 1 / 64, self.noises(rng, 4, rows.shape))
+
+    def check_steered(self, params, target):
+        """Steer a first step to `target` by its noise, then check three more.
+
+        The second step is the first to take a bound on the coefficients.
+        """
+        rng = np.random.default_rng(target.shape[-1])
+        rows = 0.1 * rng.standard_normal(target.shape)
+        probe = PathBlock(params, rows.copy(), 1 / 64)
+        probe.step()
+        noises = [target - probe.coeffs] + self.noises(rng, 3, rows.shape)
+        states, _ = run_block(params, rows, 1 / 64, noises)
+        assert np.abs(states[1]) == pytest.approx(np.abs(target), rel=1e-12)
+        self.check(params, rows, 1 / 64, noises, odd=params.a2 == 0)
+
+    @pytest.mark.parametrize("side", [1 - 1e-9, 1 + 1e-9])
+    @pytest.mark.parametrize("n_modes, a2, a0", [(1, 0.8, 0.3), (8, 0.0, 0.0)])
+    def test_peak_at_the_rescaling_bound(self, side, n_modes, a2, a0):
+        # Rows peak at limit / (sqrt(2) N) * side, where the bound on the grid
+        # values meets the rescaling limit.  With one mode and even content
+        # the grid has the point x = 1/2, where that bound is attained.
+        params = params_with(a3=-1e120, a2=a2, a0=a0)
+        limit = _SCALE_LIMIT / abs(params.a3) ** (1.0 / 3.0)
+        signs = np.sign(np.random.default_rng(n_modes).standard_normal((3, n_modes)))
+        self.check_steered(params, signs * limit / (SQRT2 * n_modes)
+                           * np.array([[side], [1 - 1e-9], [1 + 1e-9]]))
+
+    def test_bound_on_grid_values_has_its_sqrt2(self):
+        # Two equal modes reach sqrt(2) * 1.54 max|c| on the grid (x = 2/5 or
+        # 3/5), beyond N max|c|: these rows need rescaling although their
+        # peak is below limit / N.
+        params = params_with(a3=-1e120)
+        limit = _SCALE_LIMIT / abs(params.a3) ** (1.0 / 3.0)
+        self.check_steered(params, 0.48 * limit * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+
+    def test_coefficients_replaced_between_steps(self):
+        # A bound from an earlier step must not outlive the coefficients
+        # it was computed for.
+        # The zero field's bound 0 would let the new rows skip rescaling.
+        params = params_with(a3=-1e120)
+        block = PathBlock(params, np.zeros((2, 16)), 1 / 64)
+        block.step()
+        rows = 1e3 * np.random.default_rng(4).standard_normal((2, 16))
+        block.coeffs = rows
+        drift = block.step()
+        for row, got in zip(rows, drift):
+            assert got.tobytes() == tamed_drift(params, SpectralField(row), 1 / 64).coeffs.tobytes()
+
