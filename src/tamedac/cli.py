@@ -25,10 +25,10 @@ from .experiments import (
     strong_error_study,
 )
 from .model import ModelParams
-from .noise import NoiseGrid, NoiseRealization
+from .noise import IncrementStream, NoiseGrid
 from .reporting import emit_csv, emit_loglog_plot, print_report
 from .spectral import SQRT2, SpectralField, _synthesize_raw, grid_points
-from .stepper import simulate_path
+from .stepper import PathBlock
 
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
 
@@ -210,18 +210,24 @@ def _run_simulate(opts: dict) -> int:
     n_steps = opts["steps"] if opts["steps"] is not None else n_modes
     if n_steps < 1:
         raise UsageError("steps must be positive")
-    if opts["seed"] < 0:
-        raise UsageError("seed must be nonnegative")
+    if not 0 <= opts["seed"] < 2 ** 64:
+        raise UsageError("master_seed must fit in an unsigned 64-bit integer")
 
-    grid = NoiseGrid.for_horizon(opts["horizon"], n_steps, n_modes)
-    inc = NoiseRealization(grid, opts["seed"], 0).increments(n_modes, n_steps)
+    # The noise grid is the path's own, so its increments stream uncoarsened.
+    noise = IncrementStream(NoiseGrid.for_horizon(opts["horizon"], n_steps, n_modes),
+                            opts["seed"], (0,))
+    path = PathBlock.at_initial_data(params, n_modes, n_steps, (0,))
     record = _snapshot_steps(n_steps, opts["snapshots"])
-    result = simulate_path(params, n_modes, n_steps, inc, record_steps=record)
+    snapshots = {0: path.coeffs[0]}
+    for m in range(1, n_steps + 1):
+        path.step(noise.at(m - 1))
+        if m in record:
+            snapshots[m] = path.coeffs[0]
 
     render = 4 * n_modes
     tau = opts["horizon"] / n_steps
     x = grid_points(render)
-    columns = [_synthesize_raw(result.snapshots[m].coeffs, render) for m in record]
+    columns = [_synthesize_raw(snapshots[m], render) for m in record]
     header = "x," + ",".join(f"t={m * tau:.6g}" for m in record)
     lines = [header]
     for k in range(render):

@@ -8,11 +8,13 @@ are root-mean-square over samples in the L2 norm, computed in coefficient
 space after zero-padding (Parseval makes this the function-space norm).
 
 Samples are computed in blocks: one loop over the fine steps draws the
-block's fine increments, advances the reference, and feeds every rung of
-the ladder, which steps as soon as its coarse interval closes.  No noise
-matrix is ever materialized, and every sample's errors are the same bit
-for bit whichever block it is computed in.  The moment diagnostics run
-their paths in the same blocks on the same streamed noise.
+block's fine increments and feeds one path block per step count, which
+steps as soon as its coarse interval closes.  The reference and the rungs
+that share its step size (every rung of the spatial study) are segments of
+one block; each other rung is a block of its own.  No noise matrix is ever
+materialized, and every sample's errors are the same bit for bit whichever
+block it is computed in.  The moment diagnostics run their paths in the
+same blocks on the same streamed noise.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -119,23 +122,27 @@ def _block_squared_errors(config: RunConfig, samples: range) -> np.ndarray:
     ref = config.ref_resolution
     grid = NoiseGrid.for_horizon(config.horizon_T, m_fine=ref, n_modes=ref)
     noise = IncrementStream(grid, config.master_seed, samples)
-    reference = PathBlock.at_initial_data(config.params, ref, ref, samples)
-    pairs = [resolution_pair(config.mode, r, ref) for r in config.resolutions]
-    rungs = [(PathBlock.at_initial_data(config.params, *pair, samples), Coarsener(grid, *pair))
-             for pair in pairs]
+    pairs = [(ref, ref)] + [resolution_pair(config.mode, r, ref) for r in config.resolutions]
+    # The reference and the rungs that step with it form one block of
+    # segments, each taking the first N_j columns of the group's increments.
+    blocks = []
+    for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
+        modes = [n for n, _ in group]
+        blocks.append((PathBlock.at_initial_data(config.params, modes, n_steps, samples),
+                       Coarsener(grid, max(modes), n_steps)))
     for m in range(ref):
         fine = noise.at(m)
-        reference.step(fine)
-        for path, coarsener in rungs:
+        for path, coarsener in blocks:
             coarse = coarsener.push(m, fine)
             if coarse is not None:
                 path.step(coarse)
 
+    reference, *rungs = [part for path, _ in blocks for part in path.parts()]
     out = np.empty((len(samples), len(rungs)))
     for row in range(len(samples)):
-        for j, (path, _) in enumerate(rungs):
-            diff = reference.coeffs[row].copy()
-            diff[: path.coeffs.shape[1]] -= path.coeffs[row]
+        for j, rung in enumerate(rungs):
+            diff = reference[row].copy()
+            diff[: rung.shape[1]] -= rung[row]
             out[row, j] = float(diff @ diff)
     return out
 
@@ -174,10 +181,11 @@ def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     firsts = range(0, config.samples, size)
     counts = [min(size, config.samples - first) for first in firsts]
     args = ([config] * len(firsts), firsts, counts)
-    if threads <= 1:
+    workers = min(threads, len(firsts))
+    if workers <= 1:
         blocks = list(map(_study_block, *args))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_study_block, *args))
     squared = np.concatenate(blocks)
 

@@ -16,6 +16,7 @@ several times smaller than on the exact grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .spectral import (
     SQRT2,
     SpectralField,
     _analyze_raw,
+    _joined,
     _row_norms,
     _synthesize_raw,
     dealias_grid_size,
@@ -77,15 +79,28 @@ def eval_poly(params: ModelParams, v):
     return q
 
 
-def _check_finite(peak: np.ndarray) -> None:
-    """Raise BlowupError if a row's largest |coefficient| is not finite.
+class _Segments:
+    """Column layout of a block of resolution segments, given as (N_j, K_j) pairs."""
 
-    For a block (one field per row) the error's sample_index is the row.
-    """
-    if not np.all(np.isfinite(peak)):
-        row = int(np.flatnonzero(~np.isfinite(peak))[0]) if peak.ndim > 1 else None
-        raise BlowupError("drift projection produced non-finite coefficients",
-                          sample_index=row)
+    def __init__(self, pairs: list[tuple[int, int]]):
+        self.modes, self.sizes = (tuple(v) for v in zip(*pairs))
+        self.starts, self.grid_starts = ([0, *accumulate(v)][:-1] for v in (self.modes, self.sizes))
+        self.cols = tuple(slice(a, a + n) for a, n in zip(self.starts, self.modes))
+        self.parts = [(n, k, cols, slice(a, a + k))
+                      for n, k, cols, a in zip(self.modes, self.sizes, self.cols, self.grid_starts)]
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """Per-segment values (..., J) over their segments' columns."""
+        return x if len(self.modes) == 1 else np.repeat(x, self.modes, axis=-1)
+
+
+def _check(ok: np.ndarray, modes: tuple[int, ...], what: str) -> None:
+    """Raise BlowupError unless `ok` (..., J) holds, naming the first failing
+    segment's N and, in a block (one field per row), its lowest such row."""
+    if not ok.all():
+        j = int(np.flatnonzero(~ok.reshape(-1, len(modes)).all(axis=0))[0])
+        row = int(np.flatnonzero(~ok[..., j])[0]) if ok.ndim > 1 else None
+        raise BlowupError(f"{what} for N={modes[j]}", sample_index=row)
 
 
 def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> int:
@@ -100,51 +115,62 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     return grid_size
 
 
-def _drift_raw(params: ModelParams, coeffs: np.ndarray, grid_size: int, tau: float | None = None,
-               *, work: np.ndarray | None = None, peak: float | None = None) -> np.ndarray:
-    """Projected drift F_N of every row of `coeffs` (shape (..., N)).
+def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
+               tau: float | None = None, *, work: np.ndarray | None = None,
+               peak: float | None = None) -> np.ndarray:
+    """Projected drift F_N of every row of `coeffs`.
 
-    With a step size `tau`, the tamed drift F_N / (1 + tau ||F_N||) of each
-    row instead, computed in rescaled arithmetic where F_N itself would
-    overflow.  Each row is computed as if it were alone: rows that need no
-    rescaling take the same operations with a scale of exactly 1, and the
-    untamed drift is never rescaled.  A stepper passes its synthesis `work`
-    buffer and a bound `peak` on every |coefficient| if it knows one; neither
-    changes the result.
+    `grids` is the grid size K of fields of one resolution, shape (..., N),
+    or the :class:`_Segments` of a block whose columns hold several; each
+    segment of a row is computed on its own grid as if it were alone.  With
+    a step size `tau`, the tamed drift F_N / (1 + tau ||F_N||) of each
+    segment instead, computed in rescaled arithmetic where F_N itself would
+    overflow.  Segments that need no rescaling take the same operations with
+    a scale of exactly 1, and the untamed drift is never rescaled.  A
+    stepper passes its synthesis `work` buffer and a bound `peak` on every
+    |coefficient| if it knows one; neither changes the result.
     """
-    n_modes = coeffs.shape[-1]
-    values = _synthesize_raw(coeffs, grid_size, work)
+    seg = grids if isinstance(grids, _Segments) else _Segments([(coeffs.shape[-1], grids)])
+    if work is None:
+        work = np.zeros(coeffs.shape[:-1] + (sum(seg.sizes),))
+    values = _joined([_synthesize_raw(coeffs[..., cols], k, work[..., grid])
+                      for _, k, cols, grid in seg.parts])
     limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
     # Block-wide maxima decide the common case in a few calls; written as a
-    # negated <= so that NaN takes the checked branch.  No grid value
-    # exceeds sqrt(2) N peak but for roundoff far inside the 1e-9 margin.
-    if (tau is None or (peak is not None and peak * SQRT2 * n_modes * (1 + 1e-9) < limit)
-            or np.abs(values).max() <= limit):
+    # negated <= so that NaN takes the checked branch.  No grid value exceeds
+    # v_max = sqrt(2) N peak, nor a drift coefficient sqrt(2) max |f(v)|,
+    # |v| <= v_max, but for roundoff far inside the 1e-9 margins.
+    v_max = np.inf if peak is None else float(peak * SQRT2 * max(seg.modes) * (1 + 1e-9))
+    if tau is None or v_max < limit or np.abs(values).max() <= limit:
         inv_cube, q = 1.0, eval_poly(params, values)
     else:
-        # With s = max |v| / limit and w = v / s the quantity q = f(v) / s^3
-        # stays representable.  Powers of s are formed by division so that
-        # a huge s underflows to zero instead of raising.
-        scale = np.maximum(np.abs(values).max(axis=-1, keepdims=True) / limit, 1.0)
+        # With s = max |v| / limit on a segment's grid and w = v / s the
+        # quantity q = f(v) / s^3 stays representable.  Powers of s are formed
+        # by division so that a huge s underflows to zero instead of raising.
+        scale = np.maximum(np.maximum.reduceat(np.abs(values), seg.grid_starts, axis=-1)
+                           / limit, 1.0)
+        inv_cube = 1.0 / scale / scale / scale
+        scale = np.repeat(scale, seg.sizes, axis=-1)
         w = values / scale
         q = ((params.a3 * w + params.a2 / scale) * w + params.a1 / scale / scale) * w \
             + params.a0 / scale / scale / scale
-        inv_cube = 1.0 / scale / scale / scale
-    q_n = _analyze_raw(q, n_modes, overwrite=True)
-    if not (np.abs(q_n).max() <= _NORM_LIMIT):
-        q_peak = np.abs(q_n).max(axis=-1, keepdims=True)
-        _check_finite(q_peak)
+    q_n = _joined([_analyze_raw(q[..., grid], n, overwrite=True) for n, _, _, grid in seg.parts])
+    f_max = ((-params.a3 * v_max + abs(params.a2)) * v_max + abs(params.a1)) * v_max \
+        + abs(params.a0)
+    if not (SQRT2 * f_max * (1 + 1e-9) < _NORM_LIMIT or np.abs(q_n).max() <= _NORM_LIMIT):
+        q_peak = np.maximum.reduceat(np.abs(q_n), seg.starts, axis=-1)
+        _check(np.isfinite(q_peak), seg.modes, "drift projection produced non-finite coefficients")
         if tau is not None:
             # Large drift coefficients can make q_N finite but ||q_N||^2
             # overflow; dividing numerator and denominator by max |q_N|
             # keeps both in range.
             unit = np.where(q_peak > _NORM_LIMIT, q_peak, 1.0)
-            q_n = q_n / unit
+            q_n /= seg.spread(unit)
             inv_cube = inv_cube / unit
     if tau is None:
         return q_n
     # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
-    q_n /= _row_norms(q_n) * tau + inv_cube
+    q_n /= seg.spread(_row_norms(q_n, seg.cols) * tau + inv_cube)
     return q_n
 
 

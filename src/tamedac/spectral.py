@@ -173,13 +173,20 @@ def project(fld: SpectralField, n_target: int) -> SpectralField:
     return SpectralField(out)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row as a 1-d dot product, shape (..., 1).
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The arrays side by side along the last axis; a single one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
-    Every row equals np.linalg.norm of that row bit for bit, whatever the
-    other rows hold; a batched einsum would differ in the last bits.
+
+def _row_norms(x: np.ndarray, parts: tuple[slice, ...] = (slice(None),)) -> np.ndarray:
+    """L2 norm of each row of every column slice in `parts` as a 1-d dot
+    product, shape (..., len(parts)).
+
+    Every entry equals np.linalg.norm of that row's slice bit for bit,
+    whatever the other rows and columns hold; a batched einsum would differ
+    in the last bits.
     """
-    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
+    return np.sqrt(_joined([np.matmul(x[..., None, c], x[..., c, None])[..., 0] for c in parts]))
 
 
 def l2_norm(fld: SpectralField) -> float:

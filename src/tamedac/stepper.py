@@ -11,10 +11,13 @@ is frozen over the step, and its taming keeps the update bounded even
 though the cubic grows super-linearly.
 
 :class:`PathBlock` is the one stepping kernel: it advances a block of
-paths at one resolution, one row per Monte Carlo sample, and each step
-returns the drift it used.  Rows never interact, so every row equals a
-block-of-one run bit for bit; :func:`simulate_path` is the one-row case,
-and a single step is a path with n_steps = 1 (horizon_T = tau).
+paths at one step size, one row per Monte Carlo sample, and each step
+returns the drift it used.  A row may hold several resolution segments side
+by side, such as a reference path and the coarser paths that step with it;
+the transforms, taming norm and rescaling act per segment, the rest once
+per block.  Rows and segments never interact, so every segment of a row
+equals a one-row, one-segment run bit for bit; :func:`simulate_path` is
+that case, and a single step is a path with n_steps = 1 (horizon_T = tau).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BlowupError
-from .model import ModelParams, _drift_raw, _resolve_grid
+from .model import ModelParams, _check, _drift_raw, _resolve_grid, _Segments
 from .spectral import (
     SpectralField,
     phi_factors,
@@ -48,69 +51,80 @@ class PathResult:
 
 
 class PathBlock:
-    """Paths at one resolution advanced together, one row of coefficients each.
+    """Paths at one step size advanced together, one row of coefficients each.
 
-    `coeffs` has shape (S, N); `sample_indices` (one per row, or None)
-    labels the rows in blowup errors.
+    `coeffs` has shape (S, sum(segments)): each row holds one resolution
+    segment of `segments[j]` modes after another (by default a single
+    segment), and every segment steps on its own grid as if it were alone.
+    `sample_indices` (one per row, or None) labels the rows in blowup errors.
     """
 
     def __init__(self, params: ModelParams, coeffs: np.ndarray, tau: float,
                  sample_indices: Sequence[int | None] | None = None, *,
-                 tamed: bool = True):
+                 tamed: bool = True, segments: Sequence[int] | None = None):
         self.params = params
         self.coeffs = coeffs
         self.tau = tau
         self.step_index = 0
-        n_modes = coeffs.shape[-1]
+        modes = tuple(segments or (coeffs.shape[-1],))
         self._samples = sample_indices
         # The drift's step size: None turns taming off.
         self._taming = tau if tamed else None
+        self._segments = _Segments([(n, _resolve_grid(params, n, None)) for n in modes])
+        # Segment j takes the first N_j columns of a step's increments.
+        self._noise_cols = (None if len(modes) == 1
+                            else np.concatenate([np.arange(n) for n in modes]))
         # The drift's zero-padded synthesis input, reused by every step, and
         # the coefficients a step has checked, with their largest magnitude.
-        self._work = np.zeros(coeffs.shape[:-1] + (_resolve_grid(params, n_modes, None),))
+        self._work = np.zeros(coeffs.shape[:-1] + (sum(self._segments.sizes),))
         self._checked = (None, None)
-        self._decay = semigroup_factors(n_modes, tau)
-        self.weights = phi_factors(n_modes, tau)
+        self._decay = np.concatenate([semigroup_factors(n, tau) for n in modes])
+        self.weights = np.concatenate([phi_factors(n, tau) for n in modes])
 
     @classmethod
-    def at_initial_data(cls, params: ModelParams, n_modes: int, n_steps: int,
+    def at_initial_data(cls, params: ModelParams, n_modes: int | Sequence[int], n_steps: int,
                         sample_indices: Sequence[int | None], **options) -> "PathBlock":
-        """One row per sample at the projected initial data, with tau = T / n_steps."""
-        initial = project(params.initial_data, n_modes).coeffs
+        """One row per sample at the projected initial data, with tau = T / n_steps
+        and one segment per mode count."""
+        modes = [int(n) for n in np.atleast_1d(n_modes)]
+        initial = np.concatenate([project(params.initial_data, n).coeffs for n in modes])
         return cls(params, np.repeat(initial[None, :], len(sample_indices), axis=0),
-                   params.horizon_T / n_steps, sample_indices, **options)
+                   params.horizon_T / n_steps, sample_indices, segments=modes, **options)
+
+    def parts(self) -> list[np.ndarray]:
+        """The coefficients of every segment, views of shape (S, N_j)."""
+        return [self.coeffs[:, cols] for cols in self._segments.cols]
 
     def step(self, noise: np.ndarray | None = None) -> np.ndarray:
         """Advance every row by one step and return the drift it used.
 
-        `noise` holds the rows' increments for this step (zero if None).
+        `noise` holds the rows' increments for this step (zero if None); a
+        segment of N_j modes takes its first N_j columns.
         """
         checked, peak = self._checked
+        segments = self._segments
         try:
-            drift = _drift_raw(self.params, self.coeffs, self._work.shape[-1], self._taming,
-                               work=self._work, peak=peak if checked is self.coeffs else None)
+            drift = _drift_raw(self.params, self.coeffs, segments, self._taming, work=self._work,
+                               peak=peak if checked is self.coeffs else None)
+            out = self._decay * self.coeffs + self.weights * drift
+            if noise is not None:
+                cols = self._noise_cols
+                out += noise if cols is None else noise.take(cols, axis=-1)
+            peak = np.abs(out).max()
+            # Written as a negated <= so that a NaN coefficient fails too.
+            if not (peak <= BLOWUP_THRESHOLD):
+                _check(np.maximum.reduceat(np.abs(out), segments.starts, axis=-1)
+                       <= BLOWUP_THRESHOLD, segments.modes,
+                       f"coefficient magnitude exceeded {BLOWUP_THRESHOLD:g}")
         except BlowupError as exc:
-            raise self._blowup(str(exc), exc.sample_index) from None
-        out = self._decay * self.coeffs + self.weights * drift
-        if noise is not None:
-            out += noise
-        peak = np.abs(out).max()
-        # Written as a negated <= so that a NaN coefficient fails too.
-        if not (peak <= BLOWUP_THRESHOLD):
-            row = int(np.flatnonzero(~(np.abs(out).max(axis=-1) <= BLOWUP_THRESHOLD))[0])
-            raise self._blowup(f"coefficient magnitude exceeded {BLOWUP_THRESHOLD:g}", row)
+            row = exc.sample_index
+            sample = None if self._samples is None or row is None else self._samples[row]
+            raise BlowupError(f"{exc} at step {self.step_index} (tau={self.tau:.6g})",
+                              step_index=self.step_index, sample_index=sample) from None
         self.coeffs = out
         self._checked = (out, float(peak))
         self.step_index += 1
         return drift
-
-    def _blowup(self, what: str, row: int | None) -> BlowupError:
-        sample = None if self._samples is None or row is None else self._samples[row]
-        return BlowupError(
-            f"{what} at step {self.step_index} (N={self.coeffs.shape[-1]}, "
-            f"tau={self.tau:.6g})",
-            step_index=self.step_index, sample_index=sample,
-        )
 
 
 def simulate_path(params: ModelParams, n_modes: int, n_steps: int,

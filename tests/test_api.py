@@ -34,7 +34,8 @@ PUBLIC_NAMES = {
 PARAMETERS = {
     tamedac.simulate_path: ["params", "n_modes", "n_steps", "increments",
                             "record_steps", "sample_index"],
-    PathBlock.__init__: ["self", "params", "coeffs", "tau", "sample_indices", "tamed"],
+    PathBlock.__init__: ["self", "params", "coeffs", "tau", "sample_indices", "tamed",
+                         "segments"],
     tamedac.moment_diagnostics: ["config", "n_steps", "tamed", "with_noise"],
     tamedac.strong_error_study: ["config", "threads"],
 }

@@ -228,6 +228,23 @@ class TestSimulateCommand:
     def test_multiple_resolutions_rejected(self):
         assert main(["simulate", "--resolutions", "8,16"]) == 2
 
+    # sha256 prefixes of files written while the path ran on a materialized
+    # noise matrix; streaming the increments changes no byte.
+    @pytest.mark.parametrize("flags, digest", [
+        ("--seed 7", "195d08caaa6f8c94"),
+        ("--resolutions 16 --steps 48 --seed 7 --a2 0.8 --a0 0.3 --snapshots 4",
+         "8fbf9f597fa9bb75"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "path.csv"
+        assert main(["simulate", *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_rejected(self, seed, capsys):
+        assert main(["simulate", "--resolutions", "8", "--seed", seed]) == 2
+        assert "master_seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+
 
 class TestDiagnoseCommand:
     def test_prints_and_writes_summary(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
+import tamedac.experiments as experiments
 import tamedac.stepper as stepper
 
 from tamedac import (
@@ -183,6 +184,40 @@ class TestStrongErrorStudy:
             assert info.value.sample_index == 0
             assert info.value.step_index == oracle[0]
             assert str(info.value).startswith("sample 0 blew up")
+
+    def test_spatial_blowup_names_the_oracle_sample_and_step(self, double_well, monkeypatch):
+        # The reference and the rungs run as one block of segments here; the
+        # study still names the per-sample oracle's sample, step and segment.
+        monkeypatch.setattr(stepper, "BLOWUP_THRESHOLD", 0.41)
+        config = small_config(double_well, mode="spatial")
+        oracle = {}
+        for s in range(config.samples):
+            try:
+                sample_squared_errors(config, s)
+            except BlowupError as exc:
+                oracle[s] = exc
+        assert min(oracle) == 0 and oracle[0].step_index > oracle[1].step_index
+        assert "for N=64 " in str(oracle[0])
+        for threads in (1, 2):
+            with pytest.raises(BlowupError) as info:
+                strong_error_study(config, threads=threads)
+            assert (info.value.sample_index, info.value.step_index) == (0, oracle[0].step_index)
+            assert str(info.value) == f"sample 0 blew up: {oracle[0]}"
+
+    def test_pool_has_no_more_workers_than_blocks(self, double_well, monkeypatch):
+        started = []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **options):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **options)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorded)
+        for samples, workers in ((2, [2]), (1, [])):
+            started.clear()
+            config = small_config(double_well, samples=samples)
+            assert strong_error_study(config, threads=4) == strong_error_study(config)
+            assert started == workers
 
 
 class TestBlocks:

@@ -218,12 +218,14 @@ def params_with(a3=-1.0, a2=0.0, a1=1.0, a0=0.0) -> ModelParams:
                        initial_data=SpectralField([INV_SQRT2]))
 
 
-def run_block(params, rows, tau, noises, tamed=True):
-    """Coefficients before every step, and the drift each step returned.
+def run_block(params, rows, tau, noises, tamed=True, segments=None):
+    """Coefficients before every step and after the last, and the drift each
+    step returned.
 
     Also checks that nothing a step returned or was given changes later.
     """
-    block = PathBlock(params, np.array(rows, dtype=np.float64), tau, tamed=tamed)
+    block = PathBlock(params, np.array(rows, dtype=np.float64), tau, tamed=tamed,
+                      segments=segments)
     states, drifts, kept = [], [], []
     for noise in noises:
         states.append(block.coeffs)
@@ -231,7 +233,7 @@ def run_block(params, rows, tau, noises, tamed=True):
         kept += [(a, a.copy()) for a in (block.coeffs, drifts[-1], noise)]
     for a, copy in kept:
         assert a.tobytes() == copy.tobytes()
-    return states, drifts
+    return states + [block.coeffs], drifts
 
 
 class TestLeanStep:
@@ -291,6 +293,14 @@ class TestLeanStep:
         rows[1] *= huge * 1e3
         self.check(params_with(a3=a3), rows, 1 / 64, self.noises(rng, 4, rows.shape))
 
+    @pytest.mark.parametrize("a0", [1e150, 1e160])
+    def test_drift_beyond_the_norm_limit(self, a0):
+        # A constant term this large puts every drift coefficient beyond the
+        # plain-norm limit, so each row's norm is taken in units of its peak.
+        rng = np.random.default_rng(35)
+        rows = 0.5 * rng.standard_normal((3, 16))
+        self.check(params_with(a0=a0), rows, 1 / 64, self.noises(rng, 4, rows.shape), odd=False)
+
     def check_steered(self, params, target):
         """Steer a first step to `target` by its noise, then check three more.
 
@@ -338,3 +348,108 @@ class TestLeanStep:
         for row, got in zip(rows, drift):
             assert got.tobytes() == tamed_drift(params, SpectralField(row), 1 / 64).coeffs.tobytes()
 
+
+
+class TestSegments:
+    """Each segment of a multi-resolution block equals its one-resolution block."""
+
+    MODES = (16, 4, 8)
+
+    def check(self, params, parts, tau, noises, tamed=True):
+        """Step `parts` (one (S, N_j) array per segment) as one block and alone.
+
+        Every step's noise has max N_j columns; segment j takes the first N_j.
+        """
+        modes = [part.shape[-1] for part in parts]
+        states, drifts = run_block(params, np.concatenate(parts, axis=-1), tau, noises,
+                                   tamed, segments=modes)
+        edges = np.cumsum([0] + modes)
+        for j, part in enumerate(parts):
+            cols = slice(edges[j], edges[j + 1])
+            alone = run_block(params, part, tau, [n[:, :modes[j]] for n in noises], tamed)
+            for got, want in zip(states + drifts, alone[0] + alone[1]):
+                assert got[:, cols].tobytes() == want.tobytes()
+
+    def parts(self, rng, n_rows, scale=0.5, modes=MODES):
+        return [scale * rng.standard_normal((n_rows, n)) for n in modes]
+
+    @staticmethod
+    def noises(rng, steps, n_rows, n_modes, scale=1e-2):
+        return [scale * rng.standard_normal((n_rows, n_modes)) for _ in range(steps)]
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    def test_double_well(self, n_rows):
+        rng = np.random.default_rng(40 + n_rows)
+        self.check(params_with(), self.parts(rng, n_rows), 1 / 64,
+                   self.noises(rng, 5, n_rows, 16))
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_even_content(self, n_rows):
+        rng = np.random.default_rng(50 + n_rows)
+        self.check(params_with(a2=0.8, a0=0.3), self.parts(rng, n_rows), 1 / 64,
+                   self.noises(rng, 5, n_rows, 16))
+
+    def test_untamed(self):
+        rng = np.random.default_rng(60)
+        self.check(params_with(), self.parts(rng, 3), 1 / 256, self.noises(rng, 5, 3, 16),
+                   tamed=False)
+
+    @pytest.mark.parametrize("a3, huge", [(-1.0, 1e11), (-1e120, 1e6)])
+    def test_one_huge_row_in_one_segment(self, a3, huge):
+        # Row 1 of the N = 4 segment alone needs the rescaled cubic (or, at
+        # a3 = -1, a block bound that proves nothing); the other segments of
+        # that row, and every other row, must be computed as if alone.
+        rng = np.random.default_rng(70)
+        parts = self.parts(rng, 3, scale=1e-3)
+        parts[1][1] *= huge * 1e3
+        self.check(params_with(a3=a3), parts, 1 / 64, self.noises(rng, 4, 3, 16))
+
+    def test_drift_beyond_the_norm_limit(self):
+        rng = np.random.default_rng(75)
+        self.check(params_with(a0=1e160), self.parts(rng, 3), 1 / 64,
+                   self.noises(rng, 4, 3, 16))
+
+    @pytest.mark.parametrize("side", [1 - 1e-9, 1 + 1e-9])
+    def test_peak_at_the_rescaling_bound(self, side):
+        # A first step steers the N = 8 segment to peaks limit / (sqrt(2) 8)
+        # * side, where the block's bound on the grid values meets the
+        # rescaling limit; the other segments take the first columns of the
+        # same increments.  Later steps take the bound from the step before.
+        params = params_with(a3=-1e120)
+        limit = _SCALE_LIMIT / abs(params.a3) ** (1.0 / 3.0)
+        rng = np.random.default_rng(80)
+        modes = (8, 1, 4)
+        parts = self.parts(rng, 3, scale=0.1, modes=modes)
+        probe = PathBlock(params, np.concatenate(parts, axis=-1), 1 / 64, segments=modes)
+        probe.step()
+        target = (np.sign(rng.standard_normal((3, 8))) * limit / (SQRT2 * 8)
+                  * np.array([[side], [1 - 1e-9], [1 + 1e-9]]))
+        noises = [target - probe.parts()[0]] + self.noises(rng, 3, 3, 8)
+        self.check(params, parts, 1 / 64, noises)
+
+    @pytest.mark.parametrize("column, n_named", [(10, 16), (2, 16)])
+    def test_nan_increment_in_one_segment(self, column, n_named):
+        # A NaN in column 10 reaches only the N = 16 segment; one in column
+        # 2 reaches every segment, and the first in column order is named.
+        rng = np.random.default_rng(90)
+        parts = self.parts(rng, 3)
+        noises = self.noises(rng, 4, 3, 16)
+        noises[2][1, column] = np.nan
+        block = PathBlock(params_with(), np.concatenate(parts, axis=-1), 1 / 64,
+                          (5, 6, 7), segments=self.MODES)
+        with pytest.raises(BlowupError) as info:
+            for noise in noises:
+                block.step(noise)
+        assert (info.value.step_index, info.value.sample_index) == (2, 6)
+        assert f"N={n_named} " in str(info.value)
+        for part in parts:
+            n = part.shape[-1]
+            alone = PathBlock(params_with(), part, 1 / 64, (5, 6, 7))
+            if n <= column:
+                for noise in noises:
+                    alone.step(noise[:, :n])
+                continue
+            with pytest.raises(BlowupError) as single:
+                for noise in noises:
+                    alone.step(noise[:, :n])
+            assert (single.value.step_index, single.value.sample_index) == (2, 6)
