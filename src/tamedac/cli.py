@@ -8,7 +8,8 @@ simulate   One path at a single resolution; dumps grid-value snapshots as CSV.
 diagnose   Path-norm moment diagnostics across samples.
 
 Option precedence is defaults < config file < command-line flags.  The config
-file is flat ``key = value`` text with ``#`` comments.  Exit codes: 0 success,
+file is flat ``key = value`` text with ``#`` comments; each value passes the
+type and range check of the flag of the same name.  Exit codes: 0 success,
 2 usage error, 3 I/O error, 4 numerical blowup.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import BlowupError
@@ -32,79 +34,89 @@ from .stepper import PathBlock
 
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
 
-_INT_KEYS = {"ref", "samples", "seed", "threads", "steps", "snapshots"}
-_FLOAT_KEYS = {"horizon", "a3", "a2", "a1", "a0"}
-_STR_KEYS = {"mode", "resolutions", "out", "plot"}
-
-_DEFAULTS = {
-    "mode": "joint",
-    "resolutions": "4,8,16,32,64,128",
-    "ref": 1024,
-    "samples": 200,
-    "seed": 0,
-    "threads": 1,
-    "horizon": 1.0,
-    "a3": -1.0,
-    "a2": 0.0,
-    "a1": 1.0,
-    "a0": 0.0,
-    "steps": None,
-    "snapshots": 11,
-    "out": None,
-    "plot": None,
-}
-_DIAGNOSE_DEFAULTS = {"resolutions": "64", "samples": 100}
-_SIMULATE_DEFAULTS = {"resolutions": "64"}
-
 
 class UsageError(Exception):
     pass
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--resolutions", help="comma-separated ascending resolutions")
-    sub.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    sub.add_argument("--seed", type=int, help="master seed; the single source of randomness")
-    sub.add_argument("--threads", type=int, help="worker processes (1 = byte-exact output)")
-    sub.add_argument("--horizon", type=float, help="time horizon T")
-    sub.add_argument("--a3", type=float, help="cubic drift coefficient (< 0)")
-    sub.add_argument("--a2", type=float, help="quadratic drift coefficient")
-    sub.add_argument("--a1", type=float, help="linear drift coefficient")
-    sub.add_argument("--a0", type=float, help="constant drift coefficient")
-    sub.add_argument("--out", help="output CSV path")
+def _int_in(low: int, high: float, message: str):
+    """An argparse type: an int in [low, high), else `message`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _resolutions(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated positive ints."""
+    return tuple(map(_int_in(1, math.inf, "resolutions must be positive"), text.split(",")))
+
+
+def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.ArgumentParser:
+    """Declare the options (the config keys) of `command`, or of every command."""
+    p.add_argument("--resolutions", type=_resolutions,
+                   default=(4, 8, 16, 32, 64, 128) if command == "converge" else (64,),
+                   help="comma-separated ascending resolutions")
+    p.add_argument("--samples", type=int, default=100 if command == "diagnose" else 200,
+                   help="Monte Carlo sample count")
+    p.add_argument("--seed", type=_int_in(0, 2 ** 64, "master_seed must fit in an unsigned "
+                                                     "64-bit integer"),
+                   default=0, help="master seed; the single source of randomness")
+    p.add_argument("--threads", type=_int_in(1, math.inf, "threads must be positive"),
+                   default=1, help="worker processes (1 = byte-exact output)")
+    p.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
+    for name, default, what in (("a3", -1.0, "cubic drift coefficient (< 0)"),
+                                ("a2", 0.0, "quadratic drift coefficient"),
+                                ("a1", 1.0, "linear drift coefficient"),
+                                ("a0", 0.0, "constant drift coefficient")):
+        p.add_argument(f"--{name}", type=float, default=default,
+                       help=f"{what}; negative exponent notation needs --{name}=-1e120")
+    p.add_argument("--out", help="output CSV path")
+    if command in (None, "converge"):
+        p.add_argument("--mode", choices=("joint", "spatial", "temporal"), default="joint")
+        p.add_argument("--ref", type=int, default=1024, help="reference resolution (N_ref = M_ref)")
+        p.add_argument("--plot", help="output SVG log-log plot path")
+    if command != "converge":
+        p.add_argument("--steps", type=_int_in(1, math.inf, "steps must be positive"),
+                       help="time steps (default: equal to the resolution)")
+    if command in (None, "simulate"):
+        p.add_argument("--snapshots", type=_int_in(2, math.inf, "snapshots must be at least 2"),
+                       default=11, help="number of snapshot times incl. endpoints")
+    return p
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="tamedac",
         description="Tamed exponential-integrator solver and strong-convergence "
                     "benchmark for the stochastic Allen-Cahn equation on (0, 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    conv = sub.add_parser("converge", help="run a strong-error convergence study")
-    _add_common(conv)
-    conv.add_argument("--mode", choices=("joint", "spatial", "temporal"))
-    conv.add_argument("--ref", type=int, help="reference resolution (N_ref = M_ref)")
-    conv.add_argument("--plot", help="output SVG log-log plot path")
-    conv.add_argument("--paper-scale", action="store_true",
-                      help="full-scale run: ref 2048, 1000 samples")
-
-    sim = sub.add_parser("simulate", help="simulate a single path and dump snapshots")
-    _add_common(sim)
-    sim.add_argument("--steps", type=int, help="time steps (default: equal to the resolution)")
-    sim.add_argument("--snapshots", type=int, help="number of snapshot times incl. endpoints")
-
-    diag = sub.add_parser("diagnose", help="path-norm moment diagnostics")
-    _add_common(diag)
-    diag.add_argument("--steps", type=int, help="time steps (default: equal to the resolution)")
-
-    return parser
+    commands = {}
+    for name, help_text in (("converge", "run a strong-error convergence study"),
+                            ("simulate", "simulate a single path and dump snapshots"),
+                            ("diagnose", "path-norm moment diagnostics")):
+        command = commands[name] = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help="flat key = value config file")
+        _add_options(command, name)
+    commands["converge"].add_argument("--paper-scale", action="store_true",
+                                      help="full-scale run: ref 2048, 1000 samples")
+    return parser, commands
 
 
-def _parse_config_file(path: str) -> dict:
-    allowed = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _read_config(path: str) -> dict:
+    """The values of a config file, each ``key = value`` parsed as ``--key=value``."""
+    checker = _add_options(argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                                   exit_on_error=False), None)
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -116,51 +128,40 @@ def _parse_config_file(path: str) -> dict:
                 key, value = key.strip(), value.strip()
                 if not sep or not key or not value:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                if key not in allowed:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    if key in _INT_KEYS:
-                        out[key] = int(value)
-                    elif key in _FLOAT_KEYS:
-                        out[key] = float(value)
-                    else:
-                        out[key] = value
-                except ValueError as exc:
+                    parsed, unknown = checker.parse_known_args([f"--{key}={value}"])
+                except argparse.ArgumentError as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from None
+                if unknown:
+                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                out[key] = getattr(parsed, key)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return out
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS)
-    if args.command == "diagnose":
-        opts.update(_DIAGNOSE_DEFAULTS)
-    elif args.command == "simulate":
-        opts.update(_SIMULATE_DEFAULTS)
-    if getattr(args, "config", None):
-        opts.update(_parse_config_file(args.config))
-    explicit = {k: v for k, v in vars(args).items()
-                if k in opts and v is not None}
-    opts.update(explicit)
+def parse_options(argv: list[str] | None = None) -> dict:
+    """The command and its options: defaults < config file < flags.
+
+    ``--paper-scale`` sets ref and samples over the config file's values.
+    A config key of another command is checked like its flag, then ignored.
+    """
+    parser, commands = _parsers()
+    args = parser.parse_args(argv)
+    config = _read_config(args.config) if args.config else {}
+    defaults = {key: value for key, value in config.items() if key in vars(args)}
     if getattr(args, "paper_scale", False):
-        if "ref" not in explicit:
-            opts["ref"] = 2048
-        if "samples" not in explicit:
-            opts["samples"] = 1000
-    if opts["threads"] < 1:
-        raise UsageError("threads must be positive")
-    return opts
+        defaults.update(ref=2048, samples=1000)
+    commands[args.command].set_defaults(**defaults)
+    return vars(parser.parse_args(argv))
 
 
-def _parse_resolutions(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse resolutions {text!r}") from None
-    if not values:
-        raise UsageError("resolutions must not be empty")
-    return values
+def _check_writable(*paths: str | None) -> None:
+    """Fail before any work if an output file could not be written."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OSError(f"cannot write {path}: not a file in a writable directory")
 
 
 def _model_params(opts: dict) -> ModelParams:
@@ -175,13 +176,14 @@ def _model_params(opts: dict) -> ModelParams:
 def _run_converge(opts: dict) -> int:
     params = _model_params(opts)
     try:
-        config = RunConfig(mode=opts["mode"], resolutions=_parse_resolutions(opts["resolutions"]),
+        config = RunConfig(mode=opts["mode"], resolutions=opts["resolutions"],
                            ref_resolution=opts["ref"], samples=opts["samples"],
                            master_seed=opts["seed"], horizon_T=opts["horizon"], params=params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if len(config.resolutions) < 2:
         raise UsageError("converge needs at least two resolutions to fit a slope")
+    _check_writable(opts["out"], opts["plot"])
 
     report = strong_error_study(config, threads=opts["threads"])
     print_report(report, sys.stdout)
@@ -194,30 +196,20 @@ def _run_converge(opts: dict) -> int:
     return 0
 
 
-def _snapshot_steps(n_steps: int, count: int) -> list[int]:
-    count = max(2, count)
-    return sorted({round(j * n_steps / (count - 1)) for j in range(count)})
-
-
 def _run_simulate(opts: dict) -> int:
     params = _model_params(opts)
-    resolutions = _parse_resolutions(opts["resolutions"])
-    if len(resolutions) != 1:
+    if len(opts["resolutions"]) != 1:
         raise UsageError("simulate takes a single resolution")
-    n_modes = resolutions[0]
-    if n_modes < 1:
-        raise UsageError("resolution must be positive")
-    n_steps = opts["steps"] if opts["steps"] is not None else n_modes
-    if n_steps < 1:
-        raise UsageError("steps must be positive")
-    if not 0 <= opts["seed"] < 2 ** 64:
-        raise UsageError("master_seed must fit in an unsigned 64-bit integer")
+    n_modes, = opts["resolutions"]
+    n_steps = opts["steps"] or n_modes
+    _check_writable(opts["out"])
 
     # The noise grid is the path's own, so its increments stream uncoarsened.
     noise = IncrementStream(NoiseGrid.for_horizon(opts["horizon"], n_steps, n_modes),
                             opts["seed"], (0,))
     path = PathBlock.at_initial_data(params, n_modes, n_steps, (0,))
-    record = _snapshot_steps(n_steps, opts["snapshots"])
+    count = opts["snapshots"]
+    record = sorted({round(j * n_steps / (count - 1)) for j in range(count)})
     snapshots = {0: path.coeffs[0]}
     for m in range(1, n_steps + 1):
         path.step(noise.at(m - 1))
@@ -245,18 +237,14 @@ def _run_simulate(opts: dict) -> int:
 
 def _run_diagnose(opts: dict) -> int:
     params = _model_params(opts)
-    resolutions = _parse_resolutions(opts["resolutions"])
-    if any(r < 1 for r in resolutions):
-        raise UsageError("resolutions must be positive")
-    if opts["steps"] is not None and opts["steps"] < 1:
-        raise UsageError("steps must be positive")
-    ref = 2 * math.lcm(*resolutions)
+    ref = 2 * math.lcm(*opts["resolutions"])
     try:
-        config = RunConfig(mode="joint", resolutions=resolutions, ref_resolution=ref,
+        config = RunConfig(mode="joint", resolutions=opts["resolutions"], ref_resolution=ref,
                            samples=opts["samples"], master_seed=opts["seed"],
                            horizon_T=opts["horizon"], params=params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_writable(opts["out"])
 
     reports = moment_diagnostics(config, n_steps=opts["steps"])
     lines = ["resolution,steps,tau,samples,sup_max,sup_mean,sup_p99,"
@@ -281,18 +269,12 @@ def _run_diagnose(opts: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        opts = parse_options(argv)
+        run = {"converge": _run_converge, "simulate": _run_simulate, "diagnose": _run_diagnose}
+        return run[opts["command"]](opts)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        opts = _merge_options(args)
-        if args.command == "converge":
-            return _run_converge(opts)
-        if args.command == "simulate":
-            return _run_simulate(opts)
-        return _run_diagnose(opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -112,18 +112,18 @@ def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
     first k values of a stream do not depend on how many are requested, so
     mode i always maps to entry i - 1 regardless of the resolution in use.
     """
-    bg = Philox(key=[master_seed, sample_index],
-                counter=int(fine_step_index) << 64)
-    return Generator(bg).standard_normal(count)
+    stream = _normal_stream(master_seed, sample_index, threading.get_ident())
+    return stream.normals(fine_step_index, count)
 
 
 class NormalStream:
-    """step_normals of one (seed, sample) pair, drawn one fine step at a time.
+    """The keyed standard normals of one (seed, sample) pair, by fine step.
 
-    One Philox generator is reused: before every draw its counter is reset
-    to (0, step, 0, 0) with an empty buffer, which is exactly the state a
-    fresh step_normals generator starts from, so the values are the same
-    bit for bit at a fraction of the set-up cost.
+    The normals of fine step m are the output of Philox with key
+    [master_seed, sample_index] started at counter (0, m, 0, 0), so steps
+    live in disjoint counter blocks.  One generator is reused: before every
+    draw its counter is set to that value with an empty buffer, the state
+    of a fresh generator, at a fraction of a fresh generator's set-up cost.
     """
 
     def __init__(self, master_seed: int, sample_index: int):
@@ -138,7 +138,7 @@ class NormalStream:
 
     def normals(self, fine_step_index: int, count: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """step_normals(master_seed, sample_index, fine_step_index, count)."""
+        """The first `count` normals of fine step `fine_step_index`."""
         self._counter[1] = fine_step_index
         self._bit_gen.state = self._state
         return self._generator.standard_normal(count, out=out)
@@ -203,8 +203,8 @@ def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
         raise ValueError(
             f"step {key.fine_step_index} outside grid with {grid.m_fine} steps"
         )
-    stream = _normal_stream(key.master_seed, key.sample_index, threading.get_ident())
-    z = stream.normals(key.fine_step_index, key.mode_index)[-1]
+    z = step_normals(key.master_seed, key.sample_index, key.fine_step_index,
+                     key.mode_index)[-1]
     return float(np.sqrt(increment_variance(key.mode_index, grid.tau_fine)) * z)
 
 

@@ -4,12 +4,14 @@ Everything here deliberately avoids the library's own evaluation paths:
 the cubic expansion works with the product-to-sum identity for sines, the
 quadrature helpers sum grid values directly, the coarse noise increments
 are summed mode by mode with scalar weights, and the slope oracle goes
-through numpy's polynomial fit.
+through numpy's polynomial fit, and the keyed normals come from a fresh
+Philox generator per draw.
 """
 
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 
 def cubic_sine_expansion(coeffs: np.ndarray) -> np.ndarray:
@@ -94,3 +96,14 @@ def split_interval_increments(fine: np.ndarray, n_modes: int, n_steps: int,
         weights = np.array([math.exp(-lam * tau_fine * (sub - 1 - k)) for k in range(sub)])
         out[:, i - 1] = fine[:, i - 1].reshape(n_steps, sub) @ weights
     return out
+
+
+def philox_normals(master_seed: int, sample_index: int, fine_step_index: int,
+                   count: int) -> np.ndarray:
+    """The keyed normals of one fine step, drawn from a fresh generator.
+
+    Philox with key [seed, sample] starts at counter (0, step, 0, 0): the
+    step sits in the second 64-bit word of the 256-bit counter.
+    """
+    bit_gen = Philox(key=[master_seed, sample_index], counter=int(fine_step_index) << 64)
+    return Generator(bit_gen).standard_normal(count)

@@ -1,11 +1,12 @@
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from tamedac import ErrorPoint, ErrorReport, load_error_csv
-from tamedac.cli import build_parser, main, _merge_options
+from tamedac.cli import main, parse_options
 from tamedac.errors import BlowupError
 from tamedac.reporting import emit_csv, emit_loglog_plot, format_csv
 
@@ -23,13 +24,12 @@ def make_report(points=None, slope=0.494, residual=0.017) -> ErrorReport:
 
 class TestParsing:
     def test_happy_path_flags(self):
-        args = build_parser().parse_args(
+        opts = parse_options(
             "converge --mode joint --resolutions 4,8,16,32,64,128 "
             "--ref 1024 --samples 200 --seed 42".split()
         )
-        opts = _merge_options(args)
         assert opts["mode"] == "joint"
-        assert opts["resolutions"] == "4,8,16,32,64,128"
+        assert opts["resolutions"] == (4, 8, 16, 32, 64, 128)
         assert opts["ref"] == 1024 and opts["samples"] == 200 and opts["seed"] == 42
 
     def test_unknown_flag_exits_with_usage_code(self):
@@ -63,14 +63,11 @@ class TestParsing:
         assert not out.exists()
 
     def test_paper_scale_defaults(self):
-        args = build_parser().parse_args(["converge", "--paper-scale"])
-        opts = _merge_options(args)
+        opts = parse_options(["converge", "--paper-scale"])
         assert opts["ref"] == 2048 and opts["samples"] == 1000
 
     def test_paper_scale_yields_to_explicit_flags(self):
-        args = build_parser().parse_args(
-            ["converge", "--paper-scale", "--ref", "512"])
-        opts = _merge_options(args)
+        opts = parse_options(["converge", "--paper-scale", "--ref", "512"])
         assert opts["ref"] == 512 and opts["samples"] == 1000
 
 
@@ -78,13 +75,17 @@ class TestConfigFile:
     def test_precedence_defaults_config_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# study setup\nref = 64\nsamples = 7\nseed = 9\n")
-        args = build_parser().parse_args(
-            ["converge", "--config", str(cfg), "--samples", "5"])
-        opts = _merge_options(args)
+        opts = parse_options(["converge", "--config", str(cfg), "--samples", "5"])
         assert opts["ref"] == 64          # from config file
         assert opts["samples"] == 5       # flag wins over config
         assert opts["seed"] == 9
         assert opts["mode"] == "joint"    # untouched default
+
+    def test_paper_scale_sets_ref_and_samples_over_the_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ref = 64\nsamples = 7\nseed = 9\n")
+        opts = parse_options(["converge", "--config", str(cfg), "--paper-scale", "--samples", "5"])
+        assert (opts["ref"], opts["samples"], opts["seed"]) == (2048, 5, 9)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -98,6 +99,83 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self):
         assert main(["converge", "--config", "/no/such/file.cfg"]) == 2
+
+    # Config values go through the type of the flag of the same name.
+    @pytest.mark.parametrize("line, message", [
+        ("threads = 0", "threads must be positive"),
+        ("steps = -3", "steps must be positive"),
+        ("seed = 18446744073709551616", "master_seed must fit in an unsigned 64-bit integer"),
+        ("resolutions = 8,0", "resolutions must be positive"),
+        ("snapshots = 1", "snapshots must be at least 2"),
+        ("samples = many", "invalid int value: 'many'"),
+    ])
+    def test_values_pass_the_flag_checks(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# setup\n{line}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and message in err
+
+
+# What each command resolves with no flags, and the options its usage line
+# lists, as captured before each option was declared in one place.
+RESOLVED_DEFAULTS = {
+    "converge": {"command": "converge", "config": None,
+                 "resolutions": (4, 8, 16, 32, 64, 128), "samples": 200, "seed": 0,
+                 "threads": 1, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0, "a0": 0.0,
+                 "out": None, "mode": "joint", "ref": 1024, "plot": None,
+                 "paper_scale": False},
+    "simulate": {"command": "simulate", "config": None, "resolutions": (64,), "samples": 200,
+                 "seed": 0, "threads": 1, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0,
+                 "a0": 0.0, "out": None, "steps": None, "snapshots": 11},
+    "diagnose": {"command": "diagnose", "config": None, "resolutions": (64,), "samples": 100,
+                 "seed": 0, "threads": 1, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0,
+                 "a0": 0.0, "out": None, "steps": None},
+}
+COMMON_OPTIONS = ["-h", "--config", "--resolutions", "--samples", "--seed", "--threads",
+                  "--horizon", "--a3", "--a2", "--a1", "--a0", "--out"]
+USAGE_OPTIONS = {
+    "converge": COMMON_OPTIONS + ["--mode", "--ref", "--plot", "--paper-scale"],
+    "simulate": COMMON_OPTIONS + ["--steps", "--snapshots"],
+    "diagnose": COMMON_OPTIONS + ["--steps"],
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+    def test_resolved_defaults_are_pinned(self, command):
+        assert parse_options([command]) == RESOLVED_DEFAULTS[command]
+
+    @pytest.mark.parametrize("command", sorted(USAGE_OPTIONS))
+    def test_usage_lists_the_same_options(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(-[-\w]+)", usage) == USAGE_OPTIONS[command]
+
+    def test_diagnose_samples_default_yields_to_config_then_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 7\n")
+        assert parse_options(["diagnose"])["samples"] == 100
+        assert parse_options(["diagnose", "--config", str(cfg)])["samples"] == 7
+        assert parse_options(["diagnose", "--config", str(cfg), "--samples", "5"])["samples"] == 5
+
+    def test_key_of_another_command_is_accepted_and_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = spatial\nref = 64\nplot = p.svg\n")
+        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+        assert main(["simulate", "--resolutions", "8", "--out", str(plain)]) == 0
+        assert main(["simulate", "--resolutions", "8", "--config", str(cfg),
+                     "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+        assert parse_options(["simulate", "--config", str(cfg)]).keys() == \
+            RESOLVED_DEFAULTS["simulate"].keys()
+
+    def test_negative_exponent_in_the_equals_form(self, tmp_path):
+        # argparse takes "-1e120" after a space for a flag; "--a3=-1e120" is a value.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a3 = -1e120\n")
+        assert parse_options(["converge", "--a3=-1e120"])["a3"] == -1e120
+        assert parse_options(["converge", "--config", str(cfg)])["a3"] == -1e120
 
 
 class TestCsv:
@@ -174,9 +252,18 @@ class TestConvergeCommand:
             files.append((out.read_bytes(), plot.read_bytes()))
         assert files[0] == files[1]
 
-    def test_unwritable_output_is_io_error(self, tmp_path):
-        code = main(self.BASE + ["--out", str(tmp_path / "no" / "dir" / "x.csv")])
-        assert code == 3
+    def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys):
+        import tamedac.cli as cli
+
+        def never(config, threads=1):
+            raise AssertionError("the study ran before its output was checked")
+
+        monkeypatch.setattr(cli, "strong_error_study", never)
+        for flag in ("--out", "--plot"):
+            for target in (tmp_path / "no" / "dir" / "x.csv", tmp_path):
+                assert main(self.BASE + [flag, str(target)]) == 3
+                assert capsys.readouterr().err.startswith("I/O error:")
+        assert not (tmp_path / "no").exists()
 
     def test_single_resolution_rejected_before_sampling(self, tmp_path, capsys):
         out = tmp_path / "errors.csv"
@@ -228,6 +315,25 @@ class TestSimulateCommand:
     def test_multiple_resolutions_rejected(self):
         assert main(["simulate", "--resolutions", "8,16"]) == 2
 
+    @pytest.mark.parametrize("count", ["-3", "0", "1"])
+    def test_fewer_than_two_snapshots_rejected(self, count, capsys, tmp_path):
+        out = tmp_path / "path.csv"
+        assert main(["simulate", "--resolutions", "8", "--snapshots", count,
+                     "--out", str(out)]) == 2
+        assert "snapshots must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys):
+        import tamedac.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the path ran before its output was checked")
+
+        monkeypatch.setattr(cli.PathBlock, "at_initial_data", never)
+        code = main(["simulate", "--resolutions", "8", "--out", str(tmp_path / "no" / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("I/O error:")
+
     # sha256 prefixes of files written while the path ran on a materialized
     # noise matrix; streaming the increments changes no byte.
     @pytest.mark.parametrize("flags, digest", [
@@ -269,6 +375,18 @@ class TestDiagnoseCommand:
         out = tmp_path / "diag.csv"
         assert main(["diagnose", *flags.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+    def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys):
+        import tamedac.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the diagnostics ran before their output was checked")
+
+        monkeypatch.setattr(cli, "moment_diagnostics", never)
+        code = main(["diagnose", "--resolutions", "8", "--samples", "2",
+                     "--out", str(tmp_path / "no" / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("I/O error:")
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_steps_rejected(self, steps, capsys):

@@ -22,7 +22,7 @@ from tamedac.experiments import resolution_pair
 from tamedac.noise import Coarsener, IncrementStream, NormalStream, convolution_weights
 from tamedac.stepper import PathBlock
 
-from oracles import split_interval_increments
+from oracles import philox_normals, split_interval_increments
 
 # The resolution ladders of the benchmark workloads, at reference 1024.
 BENCHMARK_LADDERS = {
@@ -98,13 +98,13 @@ class TestKeyedSampling:
     def test_equals_a_fresh_generator_in_any_order(self):
         # Keyed draws reuse a generator per (seed, sample): switching keys
         # and going back in steps must leave every value as a fresh
-        # step_normals generator gives it.
+        # generator gives it.
         grid = NoiseGrid(n_modes=40, m_fine=50, tau_fine=1 / 50)
         sigma = np.sqrt(increment_variances(40, 1 / 50))
         rng = np.random.default_rng(8)
         for seed, sample, mode, step in rng.integers([0, 0, 1, 0], [3, 3, 41, 50], (200, 4)):
             key = NoiseKey(int(seed), int(sample), int(mode), int(step))
-            z = step_normals(key.master_seed, key.sample_index, key.fine_step_index, int(mode))
+            z = philox_normals(key.master_seed, key.sample_index, key.fine_step_index, int(mode))
             assert sample_fine_increment(key, grid) == float(sigma[mode - 1] * z[-1])
 
     def test_threads_draw_the_same_values(self):
@@ -184,13 +184,15 @@ class TestStreamedNoise:
            steps=st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=4),
            count=st.integers(1, 300), partial=st.integers(0, 9))
     def test_stream_equals_step_normals(self, seed, sample, steps, count, partial):
-        # The reused generator is left mid-buffer by a partial draw before
-        # every step; the reset must still land on step_normals exactly.
+        # The reused generators are left mid-buffer by a partial draw before
+        # every step; the reset must still land on a fresh generator's values.
         stream = NormalStream(seed, sample)
         for step in steps:
+            expected = philox_normals(seed, sample, step, count).tobytes()
             stream.normals(step + 1, partial + 1)
-            got = stream.normals(step, count)
-            assert got.tobytes() == step_normals(seed, sample, step, count).tobytes()
+            step_normals(seed, sample, step + 1, partial + 1)
+            assert stream.normals(step, count).tobytes() == expected
+            assert step_normals(seed, sample, step, count).tobytes() == expected
 
     def test_stream_rows_equal_fine_matrix(self):
         grid = NoiseGrid(n_modes=5, m_fine=6, tau_fine=1 / 6)
