@@ -16,6 +16,7 @@ type and range check of the flag of the same name.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -62,13 +63,15 @@ def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.Ar
     p.add_argument("--resolutions", type=_resolutions,
                    default=(4, 8, 16, 32, 64, 128) if command == "converge" else (64,),
                    help="comma-separated ascending resolutions")
-    p.add_argument("--samples", type=int, default=100 if command == "diagnose" else 200,
-                   help="Monte Carlo sample count")
+    if command != "simulate":
+        p.add_argument("--samples", type=int, default=100 if command == "diagnose" else 200,
+                       help="Monte Carlo sample count")
     p.add_argument("--seed", type=_int_in(0, 2 ** 64, "master_seed must fit in an unsigned "
                                                      "64-bit integer"),
                    default=0, help="master seed; the single source of randomness")
-    p.add_argument("--threads", type=_int_in(1, math.inf, "threads must be positive"),
-                   default=1, help="worker processes (1 = byte-exact output)")
+    if command in (None, "converge"):
+        p.add_argument("--threads", type=_int_in(1, math.inf, "threads must be positive"),
+                       default=1, help="worker processes (1 = byte-exact output)")
     p.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
     for name, default, what in (("a3", -1.0, "cubic drift coefficient (< 0)"),
                                 ("a2", 0.0, "quadratic drift coefficient"),
@@ -107,10 +110,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     commands["converge"].add_argument("--paper-scale", action="store_true",
                                       help="full-scale run: ref 2048, 1000 samples")
     return parser, commands
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
 
 
 def _read_config(path: str) -> dict:
@@ -255,12 +254,8 @@ def _run_diagnose(opts: dict) -> int:
               f"l2 max {d.l2_max:.4g} mean {d.l2_mean:.4g} p99 {d.l2_p99:.4g} | "
               f"max drift norm {d.max_drift_norm:.4g} (1/tau = {1 / d.tau:.4g}) | "
               f"blowups {d.blowups} | finite {d.all_finite}")
-        lines.append(
-            f"{d.resolution},{d.n_steps},{d.tau:.8g},{d.samples},"
-            f"{d.sup_max:.8g},{d.sup_mean:.8g},{d.sup_p99:.8g},"
-            f"{d.l2_max:.8g},{d.l2_mean:.8g},{d.l2_p99:.8g},"
-            f"{d.max_drift_norm:.8g},{d.blowups},{d.all_finite}"
-        )
+        lines.append(",".join(f"{v:.8g}" if isinstance(v, float) else str(v)
+                              for v in dataclasses.astuple(d)))
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -189,8 +189,8 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     The output L2 norm is at most min(||F_N||, 1 / tau), which keeps a
     single explicit step bounded no matter how large the input field is.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return SpectralField(
         _drift_raw(params, fld.coeffs, _resolve_grid(params, fld.n_modes, grid_size), tau)
     )

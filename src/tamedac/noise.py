@@ -83,8 +83,8 @@ class NoiseGrid:
 
 def _variances(lam, tau: float):
     """tau * (1 - e^{-x}) / x with x = 2 lambda tau, for a float or an array."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     x = 2.0 * lam * tau
     return tau * (-np.expm1(-x) / x)
 

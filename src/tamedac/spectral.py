@@ -91,8 +91,8 @@ def eigenvalue(i: int) -> float:
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
     """Heat semigroup weights exp(-lambda_i t) of modes 1..N at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     return np.exp(-eigenvalues(n_modes) * t)
 
 
@@ -102,8 +102,8 @@ def phi_factors(n_modes: int, tau: float) -> np.ndarray:
     Evaluated as tau * (1 - e^{-x}) / x with x = lambda_i tau so that the
     x -> 0 limit returns tau to full precision instead of cancelling.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     x = eigenvalues(n_modes) * tau
     return tau * (-np.expm1(-x) / x)
 

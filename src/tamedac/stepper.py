@@ -22,8 +22,8 @@ that case, and a single step is a path with n_steps = 1 (horizon_T = tau).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,10 +44,9 @@ BLOWUP_THRESHOLD = 1e12
 
 @dataclass(frozen=True)
 class PathResult:
-    """Terminal field of a simulated path and any requested snapshots."""
+    """Terminal field of a simulated path."""
 
     terminal: SpectralField
-    snapshots: dict[int, SpectralField] = field(default_factory=dict)
 
 
 class PathBlock:
@@ -129,7 +128,6 @@ class PathBlock:
 
 def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
                   increments: np.ndarray | None = None, *,
-                  record_steps: Iterable[int] = (),
                   sample_index: int | None = None) -> PathResult:
     """Run the discretization from the projected initial data to the horizon.
 
@@ -142,8 +140,6 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
     increments:
         Per-step, per-mode stochastic convolution increments of shape
         (n_steps, n_modes), or None for the deterministic (noise-off) mode.
-    record_steps:
-        Completed-step indices (0 = initial data) to snapshot.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -154,12 +150,6 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
                 f"increments must have shape {(n_steps, n_modes)}, got {increments.shape}"
             )
     block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,))
-    wanted = set(record_steps)
-    snapshots: dict[int, SpectralField] = {}
-    if 0 in wanted:
-        snapshots[0] = SpectralField(block.coeffs[0])
     for m in range(n_steps):
         block.step(None if increments is None else increments[m])
-        if m + 1 in wanted:
-            snapshots[m + 1] = SpectralField(block.coeffs[0])
-    return PathResult(terminal=SpectralField(block.coeffs[0]), snapshots=snapshots)
+    return PathResult(terminal=SpectralField(block.coeffs[0]))

@@ -32,8 +32,8 @@ PUBLIC_NAMES = {
 # Parameter names of the entry points whose options are counted: adding an
 # option means editing this table.
 PARAMETERS = {
-    tamedac.simulate_path: ["params", "n_modes", "n_steps", "increments",
-                            "record_steps", "sample_index"],
+    tamedac.simulate_path: ["params", "n_modes", "n_steps", "increments", "sample_index"],
+    tamedac.PathResult: ["terminal"],
     PathBlock.__init__: ["self", "params", "coeffs", "tau", "sample_indices", "tamed",
                          "segments"],
     tamedac.moment_diagnostics: ["config", "n_steps", "tamed", "with_noise"],

@@ -53,8 +53,6 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv", [
         ["converge", "--resolutions", "4,8", "--ref", "16", "--samples", "1", "--threads", "0"],
-        ["diagnose", "--resolutions", "8", "--samples", "2", "--threads", "0"],
-        ["simulate", "--resolutions", "8", "--threads", "-5"],
     ])
     def test_nonpositive_threads_rejected(self, argv, capsys, tmp_path):
         out = tmp_path / "out.csv"
@@ -118,27 +116,42 @@ class TestConfigFile:
 
 
 # What each command resolves with no flags, and the options its usage line
-# lists, as captured before each option was declared in one place.
+# lists.  The converge entries are as captured before each option was
+# declared in one place.
 RESOLVED_DEFAULTS = {
     "converge": {"command": "converge", "config": None,
                  "resolutions": (4, 8, 16, 32, 64, 128), "samples": 200, "seed": 0,
                  "threads": 1, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0, "a0": 0.0,
                  "out": None, "mode": "joint", "ref": 1024, "plot": None,
                  "paper_scale": False},
-    "simulate": {"command": "simulate", "config": None, "resolutions": (64,), "samples": 200,
-                 "seed": 0, "threads": 1, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0,
+    "simulate": {"command": "simulate", "config": None, "resolutions": (64,),
+                 "seed": 0, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0,
                  "a0": 0.0, "out": None, "steps": None, "snapshots": 11},
     "diagnose": {"command": "diagnose", "config": None, "resolutions": (64,), "samples": 100,
-                 "seed": 0, "threads": 1, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0,
+                 "seed": 0, "horizon": 1.0, "a3": -1.0, "a2": 0.0, "a1": 1.0,
                  "a0": 0.0, "out": None, "steps": None},
 }
-COMMON_OPTIONS = ["-h", "--config", "--resolutions", "--samples", "--seed", "--threads",
-                  "--horizon", "--a3", "--a2", "--a1", "--a0", "--out"]
+SHARED_OPTIONS = ["--horizon", "--a3", "--a2", "--a1", "--a0", "--out"]
 USAGE_OPTIONS = {
-    "converge": COMMON_OPTIONS + ["--mode", "--ref", "--plot", "--paper-scale"],
-    "simulate": COMMON_OPTIONS + ["--steps", "--snapshots"],
-    "diagnose": COMMON_OPTIONS + ["--steps"],
+    "converge": ["-h", "--config", "--resolutions", "--samples", "--seed", "--threads",
+                 *SHARED_OPTIONS, "--mode", "--ref", "--plot", "--paper-scale"],
+    "simulate": ["-h", "--config", "--resolutions", "--seed", *SHARED_OPTIONS,
+                 "--steps", "--snapshots"],
+    "diagnose": ["-h", "--config", "--resolutions", "--samples", "--seed", *SHARED_OPTIONS,
+                 "--steps"],
 }
+
+
+class RecordingOptions(dict):
+    """An options mapping that remembers which keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 class TestSurface:
@@ -169,6 +182,44 @@ class TestSurface:
         assert configured.read_bytes() == plain.read_bytes()
         assert parse_options(["simulate", "--config", str(cfg)]).keys() == \
             RESOLVED_DEFAULTS["simulate"].keys()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--samples", "5"],
+        ["simulate", "--threads", "2"],
+        ["diagnose", "--threads", "2"],
+    ])
+    def test_unread_options_are_not_declared(self, argv, capsys):
+        assert main(argv + ["--resolutions", "8"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_threads_and_samples_config_keys_are_checked_then_ignored(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\nsamples = 3\n")
+        flags = ["--resolutions", "8", "--steps", "2"]
+        if command == "diagnose":
+            flags += ["--samples", "2"]
+        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+        assert main([command, *flags, "--out", str(plain)]) == 0
+        assert main([command, *flags, "--config", str(cfg), "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+    # Every option a command declares is read by its runner: a flag that is
+    # parsed and range-checked but never read fails here.
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--resolutions", "4,8", "--ref", "16", "--samples", "1"],
+        ["simulate", "--resolutions", "4", "--steps", "2"],
+        ["diagnose", "--resolutions", "4", "--samples", "2", "--steps", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_runner_reads_every_declared_option(self, argv, tmp_path, monkeypatch):
+        import tamedac.cli as cli
+
+        monkeypatch.setattr(cli, "strong_error_study", lambda config, threads=1: make_report())
+        opts = RecordingOptions(parse_options(argv + ["--out", str(tmp_path / "out.csv")]))
+        runners = {"converge": cli._run_converge, "simulate": cli._run_simulate,
+                   "diagnose": cli._run_diagnose}
+        assert runners[argv[0]](opts) == 0
+        assert set(opts) - {"command", "config", "paper_scale"} <= opts.read
 
     def test_negative_exponent_in_the_equals_form(self, tmp_path):
         # argparse takes "-1e120" after a space for a flag; "--a3=-1e120" is a value.

@@ -290,6 +290,11 @@ class TestTamedDrift:
         with pytest.raises(ValueError):
             tamed_drift(double_well, SpectralField([1.0]), tau=0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_invalid_tau_rejected(self, double_well, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            tamed_drift(double_well, SpectralField([1.0]), tau)
+
 
 class TestOneSidedCondition:
     @pytest.mark.parametrize("seed", range(5))

@@ -52,6 +52,13 @@ class TestIncrementVariance:
         with pytest.raises(ValueError):
             increment_variance(1, 0.0)
 
+    @pytest.mark.parametrize("variance", [increment_variance, increment_variances],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_invalid_tau_rejected(self, variance, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            variance(2, tau)
+
     @pytest.mark.parametrize("i", [1, 2, 5, 17, 64, 256])
     @pytest.mark.parametrize("tau", [1.0, 1 / 16, 1 / 2048, 1e-9])
     def test_split_interval_identity(self, i, tau):

@@ -26,6 +26,8 @@ from oracles import quadrature_norm
 PI_SQ = 9.869604401089358
 EXP_NEG_PI_SQ = 5.172318620381231e-05   # exp(-pi^2)
 PHI_MODE1_TAU1 = 0.10131594298788985    # (1 - exp(-pi^2)) / pi^2
+# Step sizes every step-size check must reject (t = 0 is a valid time).
+BAD_STEPS = [np.nan, np.inf, -np.inf, 0.0, -1.0]
 
 
 def random_field(n_modes: int, seed: int, scale: float = 1.0) -> SpectralField:
@@ -64,6 +66,14 @@ class TestSemigroupFactor:
         with pytest.raises(ValueError):
             semigroup_factors(1, -0.1)
 
+    @pytest.mark.parametrize("t", BAD_STEPS)
+    def test_only_finite_nonnegative_time_accepted(self, t):
+        if t == 0:
+            assert np.all(semigroup_factors(3, t) == 1.0)
+        else:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                semigroup_factors(3, t)
+
     def test_monotone_in_time_and_mode(self):
         assert np.all(semigroup_factors(8, 0.1) > semigroup_factors(8, 0.2))
         assert np.all(np.diff(semigroup_factors(8, 0.1)) < 0)
@@ -95,6 +105,11 @@ class TestPhiFactor:
             phi_factors(1, 0.0)
         with pytest.raises(ValueError):
             phi_factors(1, -1.0)
+
+    @pytest.mark.parametrize("tau", BAD_STEPS)
+    def test_invalid_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            phi_factors(3, tau)
 
     @given(
         i=st.integers(min_value=1, max_value=4096),

@@ -15,6 +15,7 @@ from tamedac import (
 )
 from tamedac.errors import BlowupError
 from tamedac.model import _SCALE_LIMIT
+from tamedac.noise import IncrementStream
 from tamedac.stepper import PathBlock
 
 from oracles import odd_drift_expansion, tamed_odd_drift
@@ -136,12 +137,6 @@ class TestSimulatePath:
         assert np.size(increments) == 80
         assert np.max(increments) <= bound
 
-    def test_snapshots_recorded(self, double_well):
-        path = simulate_path(double_well, 8, 4, record_steps={0, 2, 4})
-        assert sorted(path.snapshots) == [0, 2, 4]
-        assert path.snapshots[0].coeffs[0] == pytest.approx(INV_SQRT2)
-        assert np.array_equal(path.snapshots[4].coeffs, path.terminal.coeffs)
-
     def test_increment_shape_validated(self, double_well):
         with pytest.raises(ValueError):
             simulate_path(double_well, 4, 8, np.zeros((7, 4)))
@@ -175,6 +170,18 @@ class TestBlowup:
         assert np.all(np.isfinite(out.terminal.coeffs))
 
 
+def stepped_block(params, n_modes, n_steps, seed, samples):
+    """A block of `samples` paths stepped on the streamed noise of its own grid,
+    and the block's coefficients after every step (index 0 = initial data)."""
+    noise = IncrementStream(NoiseGrid.for_horizon(1.0, n_steps, n_modes), seed, range(samples))
+    block = PathBlock.at_initial_data(params, n_modes, n_steps, range(samples))
+    states = [block.coeffs]
+    for m in range(n_steps):
+        block.step(noise.at(m))
+        states.append(block.coeffs)
+    return states
+
+
 class TestModeStatistics:
     def test_stationary_variance_of_decoupled_modes(self):
         # With the drift switched off each mode is an exact autoregression
@@ -182,12 +189,8 @@ class TestModeStatistics:
         # T = 1 is 1 / (2 lam) up to 5e-9 relative.
         params = ModelParams(a3=-1e-300, a2=0.0, a1=0.0, a0=0.0, horizon_T=1.0,
                              initial_data=SpectralField([0.0]))
-        n_modes, n_steps, samples = 4, 64, 1200
-        grid = NoiseGrid.for_horizon(1.0, n_steps, n_modes)
-        terminals = np.empty((samples, n_modes))
-        for s in range(samples):
-            inc = NoiseRealization(grid, 99, s).increments(n_modes, n_steps)
-            terminals[s] = simulate_path(params, n_modes, n_steps, inc).terminal.coeffs
+        n_modes = 4
+        terminals = stepped_block(params, n_modes, 64, 99, 1200)[-1]
         observed = terminals.var(axis=0)
         lam = np.pi ** 2 * np.arange(1, n_modes + 1) ** 2
         assert observed == pytest.approx(1.0 / (2 * lam), rel=0.10)
@@ -195,20 +198,12 @@ class TestModeStatistics:
     def test_temporal_increment_scaling(self, double_well):
         # RMS of || Y_{t+d} - Y_t || across samples grows like a small power
         # of d; the fitted exponent stays in the subdiffusive window.
-        n_modes, n_steps, samples = 64, 512, 128
+        n_steps, samples = 512, 128
         base = 256
         offsets = [1, 2, 4, 8]
-        record = {base} | {base + k for k in offsets}
-        grid = NoiseGrid.for_horizon(1.0, n_steps, n_modes)
-        sq = np.zeros(len(offsets))
-        for s in range(samples):
-            inc = NoiseRealization(grid, 123, s).increments(n_modes, n_steps)
-            snaps = simulate_path(double_well, n_modes, n_steps, inc,
-                                  record_steps=record).snapshots
-            for j, k in enumerate(offsets):
-                diff = snaps[base + k].coeffs - snaps[base].coeffs
-                sq[j] += diff @ diff
-        rms = np.sqrt(sq / samples)
+        states = stepped_block(double_well, 64, n_steps, 123, samples)
+        rms = np.array([np.sqrt(np.sum((states[base + k] - states[base]) ** 2) / samples)
+                        for k in offsets])
         slope = np.polyfit(np.log2(np.array(offsets) / n_steps), np.log2(rms), 1)[0]
         assert 0.2 <= slope <= 0.6
 
