@@ -182,16 +182,19 @@ def _run_converge(opts: dict) -> int:
         raise UsageError(str(exc)) from None
     if len(config.resolutions) < 2:
         raise UsageError("converge needs at least two resolutions to fit a slope")
-    _check_writable(opts["out"], opts["plot"])
+    out, plot = opts["out"], opts["plot"]
+    if out and plot and os.path.realpath(out) == os.path.realpath(plot):
+        raise UsageError(f"--out {out} and --plot {plot} name the same file")
+    _check_writable(out, plot)
 
     report = strong_error_study(config, threads=opts["threads"])
     print_report(report, sys.stdout)
-    if opts["out"]:
-        emit_csv(report, opts["out"])
-        print(f"wrote {opts['out']}")
-    if opts["plot"]:
-        emit_loglog_plot(report, opts["plot"])
-        print(f"wrote {opts['plot']}")
+    if out:
+        emit_csv(report, out)
+        print(f"wrote {out}")
+    if plot:
+        emit_loglog_plot(report, plot)
+        print(f"wrote {plot}")
     return 0
 
 

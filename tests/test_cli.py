@@ -316,6 +316,21 @@ class TestConvergeCommand:
                 assert capsys.readouterr().err.startswith("I/O error:")
         assert not (tmp_path / "no").exists()
 
+    @pytest.mark.parametrize("plot", ["same.csv", "./same.csv", "sub/../same.csv"])
+    def test_out_and_plot_on_one_file_rejected(self, plot, tmp_path, monkeypatch, capsys):
+        import tamedac.cli as cli
+
+        def never(config, threads=1):
+            raise AssertionError("the study ran before its outputs were checked")
+
+        monkeypatch.setattr(cli, "strong_error_study", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(self.BASE + ["--out", "same.csv", "--plot", plot]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--plot" in err and "same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
     def test_single_resolution_rejected_before_sampling(self, tmp_path, capsys):
         out = tmp_path / "errors.csv"
         code = main(["converge", "--resolutions", "8", "--ref", "16", "--samples", "1",
