@@ -286,6 +286,10 @@ class TestTamedDrift:
         out = tamed_drift(double_well, SpectralField([3.0, -2.0]), tau=0.5)
         assert l2_norm(out) < 2.0
 
+    def test_rejects_nonpositive_tau(self, double_well):
+        with pytest.raises(ValueError):
+            tamed_drift(double_well, SpectralField([1.0]), tau=0.0)
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_invalid_tau_rejected(self, double_well, tau):
         with pytest.raises(ValueError, match="tau must be positive and finite"):

@@ -48,6 +48,10 @@ class TestIncrementVariance:
         v = increment_variance(i, tau)
         assert 0.0 < v <= min(tau, 1.0 / (2 * eigenvalue(i))) * (1 + 1e-14)
 
+    def test_rejects_nonpositive_tau(self):
+        with pytest.raises(ValueError):
+            increment_variance(1, 0.0)
+
     @pytest.mark.parametrize("variance", [increment_variance, increment_variances],
                              ids=lambda f: f.__name__)
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])

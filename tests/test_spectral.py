@@ -71,6 +71,10 @@ class TestSemigroupFactor:
     def test_mode_one_unit_time(self):
         assert semigroup_factors(1, 1.0)[0] == pytest.approx(EXP_NEG_PI_SQ, rel=1e-14)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            semigroup_factors(1, -0.1)
+
     @pytest.mark.parametrize("t", BAD_STEPS)
     def test_only_finite_nonnegative_time_accepted(self, t):
         if t == 0:
@@ -104,6 +108,12 @@ class TestPhiFactor:
     def test_small_argument_limit_returns_tau(self):
         tau = 1e-12 / PI_SQ   # lambda_1 tau = 1e-12
         assert phi_factors(1, tau)[0] == pytest.approx(tau, rel=1e-12)
+
+    def test_nonpositive_tau_rejected(self):
+        with pytest.raises(ValueError):
+            phi_factors(1, 0.0)
+        with pytest.raises(ValueError):
+            phi_factors(1, -1.0)
 
     @pytest.mark.parametrize("tau", BAD_STEPS)
     def test_invalid_tau_rejected(self, tau):
