@@ -28,9 +28,7 @@ from .noise import (
     NoiseKey,
     NoiseRealization,
     increment_variance,
-    increment_variances,
     sample_fine_increment,
-    step_normals,
 )
 from .reporting import emit_csv, emit_loglog_plot, load_error_csv
 from .spectral import (
@@ -39,16 +37,13 @@ from .spectral import (
     analyze,
     dealias_grid_size,
     eigenvalue,
-    eigenvalues,
     grid_points,
     l2_norm,
-    phi_factors,
     project,
-    semigroup_factors,
     sup_norm_estimate,
     synthesize,
 )
-from .stepper import BLOWUP_THRESHOLD, PathResult, simulate_path
+from .stepper import BLOWUP_THRESHOLD, simulate_path
 
 __version__ = "0.1.0"
 
@@ -64,7 +59,6 @@ __all__ = [
     "NoiseGrid",
     "NoiseKey",
     "NoiseRealization",
-    "PathResult",
     "ResolutionError",
     "RunConfig",
     "SpectralField",
@@ -72,25 +66,20 @@ __all__ = [
     "coupled_terminal",
     "dealias_grid_size",
     "eigenvalue",
-    "eigenvalues",
     "emit_csv",
     "emit_loglog_plot",
     "fit_slope",
     "grid_points",
     "increment_variance",
-    "increment_variances",
     "l2_norm",
     "load_error_csv",
     "moment_diagnostics",
     "nonlinearity_galerkin",
-    "phi_factors",
     "project",
     "resolution_pair",
     "sample_fine_increment",
     "sample_squared_errors",
-    "semigroup_factors",
     "simulate_path",
-    "step_normals",
     "strong_error_study",
     "sup_norm_estimate",
     "synthesize",

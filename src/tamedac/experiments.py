@@ -13,8 +13,8 @@ steps as soon as its coarse interval closes.  The reference and the rungs
 that share its step size (every rung of the spatial study) are segments of
 one block; each other rung is a block of its own.  No noise matrix is ever
 materialized, and every sample's errors are the same bit for bit whichever
-block it is computed in.  The moment diagnostics run their paths in the
-same blocks on the same streamed noise.
+block it is computed in.  :func:`coupled_terminal` and the moment
+diagnostics run their paths in the same blocks on the same streamed noise.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import BlowupError
 from .model import ModelParams
-from .noise import Coarsener, IncrementStream, NoiseGrid, NoiseRealization
+from .noise import Coarsener, IncrementStream, NoiseGrid, NoiseRealization, _integer
 from .spectral import _row_norms, _sup_norms
-from .stepper import PathBlock, simulate_path
+from .stepper import PathBlock
 
 MODES = ("joint", "spatial", "temporal")
 # Samples per block.  A block shares each step's per-call overhead among its
@@ -56,12 +56,12 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        res = tuple(int(r) for r in self.resolutions)
+        res = tuple(_integer("resolutions", r, 1) for r in self.resolutions)
         object.__setattr__(self, "resolutions", res)
+        for name, low in (("ref_resolution", 1), ("samples", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if not res:
             raise ValueError("resolutions must be non-empty")
-        if any(r < 1 for r in res):
-            raise ValueError("resolutions must be positive")
         if list(res) != sorted(set(res)):
             raise ValueError("resolutions must be strictly ascending")
         for r in res:
@@ -71,10 +71,8 @@ class RunConfig:
                 )
         if self.ref_resolution <= res[-1]:
             raise ValueError("ref_resolution must exceed every study resolution")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        if not 0 < self.horizon_T < math.inf:
+            raise ValueError(f"horizon_T must be positive and finite, got {self.horizon_T}")
         if abs(self.horizon_T - self.params.horizon_T) > 1e-12 * self.horizon_T:
             raise ValueError("horizon_T must match params.horizon_T")
 
@@ -109,41 +107,47 @@ def resolution_pair(mode: str, resolution: int, ref_resolution: int) -> tuple[in
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
+                       samples: range, pairs: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Terminal coefficients, shape (len(samples), N_j), of each (N_j, M_j) pair
+    on the samples' noise, streamed on `grid`; consecutive pairs that share a
+    step count are segments of one block."""
+    noise = IncrementStream(grid, master_seed, samples)
+    blocks = []
+    for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
+        modes = [n for n, _ in group]
+        blocks.append((Coarsener(grid, max(modes), n_steps),
+                       PathBlock.at_initial_data(params, modes, n_steps, samples)))
+    for m in range(grid.m_fine):
+        fine = noise.at(m)
+        for coarsener, path in blocks:
+            coarse = coarsener.push(m, fine)
+            if coarse is not None:
+                path.step(coarse)
+    return [part for _, path in blocks for part in path.parts()]
+
+
 def coupled_terminal(params: ModelParams, realization: NoiseRealization,
                      n_modes: int, n_steps: int) -> np.ndarray:
-    """Terminal coefficients of a path driven by the shared noise realization."""
-    inc = realization.increments(n_modes, n_steps)
-    return simulate_path(params, n_modes, n_steps, inc,
-                         sample_index=realization.sample_index).terminal.coeffs
+    """Terminal coefficients of a path driven by the shared noise realization,
+    stepped on the study's engine without building the increment matrix."""
+    s = realization.sample_index
+    return _coupled_terminals(params, realization.grid, realization.master_seed,
+                              range(s, s + 1), [(n_modes, n_steps)])[0][0]
 
 
 def _block_squared_errors(config: RunConfig, samples: range) -> np.ndarray:
     """Squared coupled errors of a block of samples, shape (len(samples), rungs)."""
     ref = config.ref_resolution
     grid = NoiseGrid.for_horizon(config.horizon_T, m_fine=ref, n_modes=ref)
-    noise = IncrementStream(grid, config.master_seed, samples)
     pairs = [(ref, ref)] + [resolution_pair(config.mode, r, ref) for r in config.resolutions]
-    # The reference and the rungs that step with it form one block of
-    # segments, each taking the first N_j columns of the group's increments.
-    blocks = []
-    for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
-        modes = [n for n, _ in group]
-        blocks.append((PathBlock.at_initial_data(config.params, modes, n_steps, samples),
-                       Coarsener(grid, max(modes), n_steps)))
-    for m in range(ref):
-        fine = noise.at(m)
-        for path, coarsener in blocks:
-            coarse = coarsener.push(m, fine)
-            if coarse is not None:
-                path.step(coarse)
-
-    reference, *rungs = [part for path, _ in blocks for part in path.parts()]
+    reference, *rungs = _coupled_terminals(config.params, grid, config.master_seed,
+                                           samples, pairs)
     out = np.empty((len(samples), len(rungs)))
-    for row in range(len(samples)):
-        for j, rung in enumerate(rungs):
-            diff = reference[row].copy()
-            diff[: rung.shape[1]] -= rung[row]
-            out[row, j] = float(diff @ diff)
+    for j, rung in enumerate(rungs):
+        diff = reference.copy()
+        diff[:, : rung.shape[1]] -= rung
+        out[:, j] = [row @ row for row in diff]
     return out
 
 
@@ -177,7 +181,9 @@ def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     they are always reduced in ascending sample order, so the report does
     not depend on the degree of parallelism.
     """
-    size = min(_BLOCK_SAMPLES, math.ceil(config.samples / max(1, threads)))
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    size = min(_BLOCK_SAMPLES, math.ceil(config.samples / threads))
     firsts = range(0, config.samples, size)
     counts = [min(size, config.samples - first) for first in firsts]
     args = ([config] * len(firsts), firsts, counts)
@@ -218,8 +224,10 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
         raise ValueError("slope fit needs at least two points")
     res = np.array([p[0] for p in points], dtype=np.float64)
     err = np.array([p[1] for p in points], dtype=np.float64)
-    if np.any(res <= 0) or np.any(err <= 0):
-        raise ValueError("resolutions and errors must be positive")
+    if not (np.all(res > 0) and np.all(err > 0) and np.isfinite([res, err]).all()):
+        raise ValueError("resolutions and errors must be positive and finite")
+    if len(set(res)) < 2:
+        raise ValueError("slope fit needs at least two distinct resolutions")
     x = -np.log2(res)
     y = np.log2(err)
     dx = x - x.mean()

@@ -26,14 +26,22 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import AlignmentError, ResolutionError
-from .spectral import eigenvalue, eigenvalues
+from .spectral import _phi, eigenvalue, eigenvalues
 
 _U64_MAX = 2 ** 64 - 1
+
+
+def _integer(name: str, value, low: int = 0) -> int:
+    """`value` as an int in [low, 2^64); it must be a Python or numpy integer."""
+    if not (isinstance(value, Integral) and low <= value <= _U64_MAX):
+        raise ValueError(f"{name} must be an integer in [{low}, 2^64), got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -46,14 +54,9 @@ class NoiseKey:
     fine_step_index: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= _U64_MAX:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if not 0 <= self.sample_index <= _U64_MAX:
-            raise ValueError("sample_index must be a nonnegative 64-bit integer")
-        if self.mode_index < 1:
-            raise ValueError(f"mode_index must be >= 1, got {self.mode_index}")
-        if self.fine_step_index < 0:
-            raise ValueError("fine_step_index must be nonnegative")
+        for name, low in (("master_seed", 0), ("sample_index", 0), ("mode_index", 1),
+                          ("fine_step_index", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)
@@ -81,27 +84,19 @@ class NoiseGrid:
         return cls(n_modes=n_modes, m_fine=m_fine, tau_fine=horizon / m_fine)
 
 
-def _variances(lam, tau: float):
-    """tau * (1 - e^{-x}) / x with x = 2 lambda tau, for a float or an array."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    x = 2.0 * lam * tau
-    return tau * (-np.expm1(-x) / x)
-
-
 def increment_variances(n_modes: int, tau: float) -> np.ndarray:
     """Variances (1 - exp(-2 lambda_i tau)) / (2 lambda_i) of modes 1..N.
 
     Written as tau * (1 - e^{-x}) / x with x = 2 lambda_i tau, which is
     stable for x -> 0 and bounded by min(tau, 1 / (2 lambda_i)).
     """
-    return _variances(eigenvalues(n_modes), tau)
+    return _phi(2.0 * eigenvalues(n_modes), tau)
 
 
 @lru_cache(maxsize=256)
 def increment_variance(mode_index: int, tau: float) -> float:
     """Variance of one increment of mode `mode_index` over a step tau, in O(1)."""
-    return float(_variances(eigenvalue(mode_index), tau))
+    return float(_phi(2.0 * eigenvalue(mode_index), tau))
 
 
 def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
@@ -224,17 +219,17 @@ class NoiseRealization:
     """All fine increments of one Monte Carlo sample, plus exact coarsening.
 
     The full (m_fine, n_modes) increment matrix is materialized lazily and
-    reused by every resolution that shares the sample, which is what makes
-    the coupled error of a coarse path against the reference pathwise
-    meaningful.  The strong-error study draws the same values one fine step
-    at a time instead (:class:`IncrementStream`); both coarsen through
-    :class:`Coarsener`.
+    reused by every resolution that shares the sample: the per-sample
+    reference route.  The studies and ``coupled_terminal`` draw the same
+    values one fine step at a time instead (:class:`IncrementStream`); both
+    coarsen through :class:`Coarsener`, so both give the same paths bit for
+    bit.
     """
 
     def __init__(self, grid: NoiseGrid, master_seed: int, sample_index: int):
         self.grid = grid
-        self.master_seed = int(master_seed)
-        self.sample_index = int(sample_index)
+        self.master_seed = _integer("master_seed", master_seed)
+        self.sample_index = _integer("sample_index", sample_index)
 
     @cached_property
     def fine_matrix(self) -> np.ndarray:

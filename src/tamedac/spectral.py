@@ -114,9 +114,14 @@ def phi_factors(n_modes: int, tau: float) -> np.ndarray:
     Evaluated as tau * (1 - e^{-x}) / x with x = lambda_i tau so that the
     x -> 0 limit returns tau to full precision instead of cancelling.
     """
+    return _phi(eigenvalues(n_modes), tau)
+
+
+def _phi(lam, tau: float):
+    """(1 - e^{-lambda tau}) / lambda of a float or array lambda, as in phi_factors."""
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    x = eigenvalues(n_modes) * tau
+    x = lam * tau
     return tau * (-np.expm1(-x) / x)
 
 

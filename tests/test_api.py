@@ -18,14 +18,13 @@ PACKAGE = ROOT / "src" / "tamedac"
 PUBLIC_NAMES = {
     "AlignmentError", "BLOWUP_THRESHOLD", "BlowupError", "ErrorPoint", "ErrorReport",
     "GridField", "ModelParams", "MomentDiagnostics", "NoiseGrid", "NoiseKey",
-    "NoiseRealization", "PathResult", "ResolutionError", "RunConfig", "SpectralField",
-    "analyze", "coupled_terminal", "dealias_grid_size", "eigenvalue", "eigenvalues",
+    "NoiseRealization", "ResolutionError", "RunConfig", "SpectralField",
+    "analyze", "coupled_terminal", "dealias_grid_size", "eigenvalue",
     "emit_csv", "emit_loglog_plot", "fit_slope", "grid_points",
-    "increment_variance", "increment_variances", "l2_norm", "load_error_csv",
-    "moment_diagnostics", "nonlinearity_galerkin", "phi_factors", "project",
+    "increment_variance", "l2_norm", "load_error_csv",
+    "moment_diagnostics", "nonlinearity_galerkin", "project",
     "resolution_pair", "sample_fine_increment", "sample_squared_errors",
-    "semigroup_factors", "simulate_path", "step_normals",
-    "strong_error_study", "sup_norm_estimate", "synthesize", "tamed_drift",
+    "simulate_path", "strong_error_study", "sup_norm_estimate", "synthesize", "tamed_drift",
 }
 
 
@@ -33,7 +32,7 @@ PUBLIC_NAMES = {
 # option means editing this table.
 PARAMETERS = {
     tamedac.simulate_path: ["params", "n_modes", "n_steps", "increments", "sample_index"],
-    tamedac.PathResult: ["terminal"],
+    tamedac.stepper.PathResult: ["terminal"],
     PathBlock.__init__: ["self", "params", "coeffs", "tau", "sample_indices", "tamed",
                          "segments"],
     tamedac.moment_diagnostics: ["config", "n_steps", "tamed", "with_noise"],

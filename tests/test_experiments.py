@@ -20,6 +20,7 @@ from tamedac import (
     moment_diagnostics,
     resolution_pair,
     sample_squared_errors,
+    simulate_path,
     strong_error_study,
     sup_norm_estimate,
 )
@@ -105,6 +106,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             small_config(double_well, horizon_T=2.0)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_horizon(self, double_well, horizon):
+        with pytest.raises(ValueError, match="horizon_T must be positive and finite"):
+            small_config(double_well, horizon_T=horizon)
+
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 0.5), ("master_seed", 7.0), ("samples", 8.5), ("samples", np.float64(8)),
+        ("ref_resolution", 64.0), ("resolutions", (4, 8.5, 16)), ("resolutions", (4.0, 8, 16)),
+    ])
+    def test_rejects_non_integers(self, double_well, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(double_well, **{field: value})
+
+    def test_numpy_integers_are_accepted(self, double_well):
+        config = small_config(double_well, resolutions=np.array([4, 8, 16]),
+                              ref_resolution=np.int64(64), samples=np.int32(8),
+                              master_seed=np.uint64(7))
+        assert config == small_config(double_well)
+
 
 class TestResolutionPair:
     def test_joint(self):
@@ -117,7 +137,60 @@ class TestResolutionPair:
         assert resolution_pair("temporal", 8, 64) == (64, 8)
 
 
+def matrix_route_errors(config: RunConfig, sample_index: int) -> np.ndarray:
+    """Squared errors of one sample rebuilt on its noise matrix, one path at a time."""
+    ref = config.ref_resolution
+    grid = NoiseGrid.for_horizon(config.horizon_T, m_fine=ref, n_modes=ref)
+    realization = NoiseRealization(grid, config.master_seed, sample_index)
+
+    def terminal(n_modes, n_steps):
+        inc = realization.increments(n_modes, n_steps)
+        return simulate_path(config.params, n_modes, n_steps, inc,
+                             sample_index=sample_index).terminal.coeffs
+
+    reference = terminal(ref, ref)
+    out = np.empty(len(config.resolutions))
+    for j, r in enumerate(config.resolutions):
+        n_modes, n_steps = resolution_pair(config.mode, r, ref)
+        diff = reference.copy()
+        diff[:n_modes] -= terminal(n_modes, n_steps)
+        out[j] = float(diff @ diff)
+    return out
+
+
 class TestCoupling:
+    @pytest.mark.parametrize("ref, n_modes, n_steps", [
+        (64, 64, 64), (64, 8, 8), (64, 64, 8), (64, 8, 64), (256, 256, 256), (128, 16, 32),
+    ])
+    @pytest.mark.parametrize("sample", [0, 5])
+    def test_coupled_terminal_equals_matrix_route(self, double_well, ref, n_modes, n_steps,
+                                                  sample):
+        realization = NoiseRealization(NoiseGrid.for_horizon(1.0, ref, ref), 3, sample)
+        engine = coupled_terminal(double_well, realization, n_modes, n_steps)
+        inc = realization.increments(n_modes, n_steps)
+        matrix = simulate_path(double_well, n_modes, n_steps, inc,
+                               sample_index=sample).terminal.coeffs
+        assert engine.tobytes() == matrix.tobytes()
+
+    def test_coupled_terminal_builds_no_noise_matrix(self, double_well):
+        # The (1024, 1024) increment matrix alone would take 8.4 MB.
+        realization = NoiseRealization(NoiseGrid.for_horizon(1.0, 1024, 1024), 3, 0)
+        tracemalloc.start()
+        try:
+            coupled_terminal(double_well, realization, 1024, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("mode", ["joint", "spatial", "temporal"])
+    def test_study_errors_equal_matrix_route(self, double_well, mode):
+        resolutions = (8, 16, 32) if mode == "temporal" else (4, 8, 16)
+        config = small_config(double_well, mode=mode, resolutions=resolutions, samples=3)
+        for s in range(config.samples):
+            assert sample_squared_errors(config, s).tobytes() == \
+                matrix_route_errors(config, s).tobytes()
+
     def test_path_at_reference_resolution_is_bit_identical(self, double_well):
         grid = NoiseGrid.for_horizon(1.0, 64, 64)
         realization = NoiseRealization(grid, 3, 0)
@@ -219,6 +292,11 @@ class TestStrongErrorStudy:
             assert strong_error_study(config, threads=4) == strong_error_study(config)
             assert started == workers
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_nonpositive_threads(self, double_well, threads):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            strong_error_study(small_config(double_well), threads=threads)
+
 
 class TestBlocks:
     """A sample's errors do not depend on the block that computes them."""
@@ -284,6 +362,11 @@ class TestFitSlope:
             fit_slope([(4, 0.1)])
         with pytest.raises(ValueError):
             fit_slope([(4, 0.1), (8, 0.0)])
+        for points in ([(4, np.nan), (8, 0.1)], [(4, np.inf), (8, 0.1)],
+                       [(np.inf, 0.2), (8, 0.1)], [(np.nan, 0.2), (8, 0.1)],
+                       [(4, 0.2), (4, 0.1)], [(4, 0.2), (4, 0.1), (4, 0.05)]):
+            with pytest.raises(ValueError):
+                fit_slope(points)
 
 
 class TestMomentDiagnostics:

@@ -11,14 +11,12 @@ from tamedac import (
     dealias_grid_size,
     l2_norm,
     nonlinearity_galerkin,
-    phi_factors,
-    semigroup_factors,
     simulate_path,
     synthesize,
     tamed_drift,
 )
 from tamedac.model import _drift_raw, eval_poly
-from tamedac.spectral import _analyze_raw, _synthesize_raw
+from tamedac.spectral import _analyze_raw, _synthesize_raw, phi_factors, semigroup_factors
 
 from oracles import odd_drift_expansion, quadrature_inner, tamed_odd_drift
 

@@ -11,15 +11,20 @@ from tamedac import (
     NoiseKey,
     NoiseRealization,
     eigenvalue,
-    eigenvalues,
     increment_variance,
-    increment_variances,
     sample_fine_increment,
-    step_normals,
 )
 from tamedac.errors import AlignmentError, ResolutionError
 from tamedac.experiments import resolution_pair
-from tamedac.noise import Coarsener, IncrementStream, NormalStream, convolution_weights
+from tamedac.noise import (
+    Coarsener,
+    IncrementStream,
+    NormalStream,
+    convolution_weights,
+    increment_variances,
+    step_normals,
+)
+from tamedac.spectral import eigenvalues
 from tamedac.stepper import PathBlock
 
 from oracles import philox_normals, split_interval_increments
@@ -152,6 +157,32 @@ class TestKeyedSampling:
             NoiseKey(0, 0, 0, 0)
         with pytest.raises(ValueError):
             NoiseKey(0, 0, 1, -1)
+
+    @pytest.mark.parametrize("field, index", [("master_seed", 0), ("sample_index", 1),
+                                              ("mode_index", 2), ("fine_step_index", 3)])
+    @pytest.mark.parametrize("value", [0.5, 1.0, 1.9, np.float64(2.0), "1", None], ids=repr)
+    def test_key_rejects_non_integers(self, field, index, value):
+        # A float would otherwise alias the variate of its integer part.
+        args = [0, 0, 1, 0]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            NoiseKey(*args)
+
+    @pytest.mark.parametrize("field, index", [("master_seed", 0), ("sample_index", 1)])
+    @pytest.mark.parametrize("value", [0.7, 3.0, np.float32(1.0), -1, 2 ** 64], ids=repr)
+    def test_realization_rejects_non_indices(self, field, index, value):
+        args = [0, 0]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            NoiseRealization(self.grid(n_modes=4, m_fine=8), *args)
+
+    @pytest.mark.parametrize("integer", [int, np.int32, np.int64, np.uint64])
+    def test_integer_types_give_the_same_key(self, integer):
+        key = NoiseKey(integer(3), integer(1), integer(2), integer(5))
+        assert key == NoiseKey(3, 1, 2, 5)
+        assert all(type(v) is int for v in vars(key).values())
+        realization = NoiseRealization(self.grid(n_modes=4, m_fine=8), integer(3), integer(1))
+        assert (realization.master_seed, realization.sample_index) == (3, 1)
 
     def test_out_of_range_key_rejected(self):
         grid = self.grid(n_modes=4, m_fine=8)

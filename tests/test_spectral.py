@@ -18,17 +18,23 @@ from tamedac import (
     analyze,
     dealias_grid_size,
     eigenvalue,
-    eigenvalues,
     grid_points,
     l2_norm,
-    phi_factors,
     project,
-    semigroup_factors,
     sup_norm_estimate,
     synthesize,
 )
 from tamedac.errors import ResolutionError
-from tamedac.spectral import _dst1, _dst1_route, _pocketfft_dst, _row_norms, _sup_norms
+from tamedac.spectral import (
+    _dst1,
+    _dst1_route,
+    _pocketfft_dst,
+    _row_norms,
+    _sup_norms,
+    eigenvalues,
+    phi_factors,
+    semigroup_factors,
+)
 
 from oracles import quadrature_norm
 

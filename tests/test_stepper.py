@@ -8,14 +8,13 @@ from tamedac import (
     SpectralField,
     l2_norm,
     nonlinearity_galerkin,
-    phi_factors,
-    semigroup_factors,
     simulate_path,
     tamed_drift,
 )
 from tamedac.errors import BlowupError
 from tamedac.model import _SCALE_LIMIT
 from tamedac.noise import IncrementStream
+from tamedac.spectral import phi_factors, semigroup_factors
 from tamedac.stepper import PathBlock
 
 from oracles import odd_drift_expansion, tamed_odd_drift
