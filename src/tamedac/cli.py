@@ -29,11 +29,13 @@ from .experiments import (
 )
 from .model import ModelParams
 from .noise import IncrementStream, NoiseGrid
-from .reporting import emit_csv, emit_loglog_plot, print_report
-from .spectral import SQRT2, SpectralField, _synthesize_raw, grid_points
+from .reporting import emit_csv, emit_loglog_plot, print_report, write_text
+from .spectral import _synthesize_raw, grid_points
 from .stepper import PathBlock
 
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
+# The problem every option left unset takes from the library.
+DEFAULT_PARAMS = ModelParams.cubic_double_well()
 
 
 class UsageError(Exception):
@@ -72,12 +74,12 @@ def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.Ar
     if command in (None, "converge"):
         p.add_argument("--threads", type=_int_in(1, math.inf, "threads must be positive"),
                        default=1, help="worker processes (1 = byte-exact output)")
-    p.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
-    for name, default, what in (("a3", -1.0, "cubic drift coefficient (< 0)"),
-                                ("a2", 0.0, "quadratic drift coefficient"),
-                                ("a1", 1.0, "linear drift coefficient"),
-                                ("a0", 0.0, "constant drift coefficient")):
-        p.add_argument(f"--{name}", type=float, default=default,
+    p.add_argument("--horizon", type=float, default=DEFAULT_PARAMS.horizon_T, help="time horizon T")
+    for name, what in (("a3", "cubic drift coefficient (< 0)"),
+                       ("a2", "quadratic drift coefficient"),
+                       ("a1", "linear drift coefficient"),
+                       ("a0", "constant drift coefficient")):
+        p.add_argument(f"--{name}", type=float, default=getattr(DEFAULT_PARAMS, name),
                        help=f"{what}; negative exponent notation needs --{name}=-1e120")
     p.add_argument("--out", help="output CSV path")
     if command in (None, "converge"):
@@ -165,9 +167,8 @@ def _check_writable(*paths: str | None) -> None:
 
 def _model_params(opts: dict) -> ModelParams:
     try:
-        return ModelParams(a3=opts["a3"], a2=opts["a2"], a1=opts["a1"], a0=opts["a0"],
-                           horizon_T=opts["horizon"],
-                           initial_data=SpectralField([1.0 / SQRT2]))
+        return dataclasses.replace(DEFAULT_PARAMS, a3=opts["a3"], a2=opts["a2"], a1=opts["a1"],
+                                   a0=opts["a0"], horizon_T=opts["horizon"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -229,8 +230,7 @@ def _run_simulate(opts: dict) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(opts["out"], text)
         print(f"wrote {opts['out']}")
     else:
         sys.stdout.write(text)
@@ -239,16 +239,19 @@ def _run_simulate(opts: dict) -> int:
 
 def _run_diagnose(opts: dict) -> int:
     params = _model_params(opts)
-    ref = 2 * math.lcm(*opts["resolutions"])
+    resolutions = opts["resolutions"]
+    if list(resolutions) != sorted(set(resolutions)):
+        raise UsageError("resolutions must be strictly ascending")
+    # Each resolution runs on its own, with the least reference it admits.
     try:
-        config = RunConfig(mode="joint", resolutions=opts["resolutions"], ref_resolution=ref,
-                           samples=opts["samples"], master_seed=opts["seed"],
-                           horizon_T=opts["horizon"], params=params)
+        configs = [RunConfig(mode="joint", resolutions=(r,), ref_resolution=2 * r,
+                             samples=opts["samples"], master_seed=opts["seed"],
+                             horizon_T=opts["horizon"], params=params) for r in resolutions]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_writable(opts["out"])
 
-    reports = moment_diagnostics(config, n_steps=opts["steps"])
+    reports = [d for config in configs for d in moment_diagnostics(config, n_steps=opts["steps"])]
     lines = ["resolution,steps,tau,samples,sup_max,sup_mean,sup_p99,"
              "l2_max,l2_mean,l2_p99,max_drift_norm,blowups,all_finite"]
     for d in reports:
@@ -260,8 +263,7 @@ def _run_diagnose(opts: dict) -> int:
         lines.append(",".join(f"{v:.8g}" if isinstance(v, float) else str(v)
                               for v in dataclasses.astuple(d)))
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(opts["out"], "\n".join(lines) + "\n")
         print(f"wrote {opts['out']}")
     return 0
 

@@ -1,4 +1,28 @@
-"""Exception types shared across the solver and the benchmark harness."""
+"""Exception types and the argument checks shared by every module of the package."""
+
+import math
+from numbers import Integral, Real
+
+_U64_MAX = 2 ** 64 - 1
+
+
+def _integer(name: str, value, low: int = 0) -> int:
+    """`value` as an int in [low, 2^64); it must be a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and low <= value <= _U64_MAX):
+        raise ValueError(f"{name} must be an integer in [{low}, 2^64), got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value, zero: bool = False) -> float:
+    """`value` as a float; it must be a finite real > 0 (>= 0 with `zero`)."""
+    try:
+        real = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:  # an int or fraction beyond the float range
+        real = math.inf
+    if not (0 <= real < math.inf and (zero or real > 0)):
+        sign = "nonnegative" if zero else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    return real
 
 
 class ResolutionError(ValueError):

@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import BlowupError, _integer, _positive
 from .model import ModelParams
-from .noise import Coarsener, IncrementStream, NoiseGrid, NoiseRealization, _integer
+from .noise import Coarsener, IncrementStream, NoiseGrid, NoiseRealization
 from .spectral import _row_norms, _sup_norms
 from .stepper import PathBlock
 
@@ -71,9 +71,8 @@ class RunConfig:
                 )
         if self.ref_resolution <= res[-1]:
             raise ValueError("ref_resolution must exceed every study resolution")
-        if not 0 < self.horizon_T < math.inf:
-            raise ValueError(f"horizon_T must be positive and finite, got {self.horizon_T}")
-        if abs(self.horizon_T - self.params.horizon_T) > 1e-12 * self.horizon_T:
+        horizon = _positive("horizon_T", self.horizon_T)
+        if abs(horizon - self.params.horizon_T) > 1e-12 * horizon:
             raise ValueError("horizon_T must match params.horizon_T")
 
 
@@ -153,7 +152,8 @@ def _block_squared_errors(config: RunConfig, samples: range) -> np.ndarray:
 
 def sample_squared_errors(config: RunConfig, sample_index: int) -> np.ndarray:
     """Squared coupled errors of one sample, one entry per study resolution."""
-    return _block_squared_errors(config, range(sample_index, sample_index + 1))[0]
+    s = _integer("sample_index", sample_index)
+    return _block_squared_errors(config, range(s, s + 1))[0]
 
 
 def _study_block(config: RunConfig, first: int, count: int) -> np.ndarray:
@@ -181,8 +181,7 @@ def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     they are always reduced in ascending sample order, so the report does
     not depend on the degree of parallelism.
     """
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    threads = _integer("threads", threads, 1)
     size = min(_BLOCK_SAMPLES, math.ceil(config.samples / threads))
     firsts = range(0, config.samples, size)
     counts = [min(size, config.samples - first) for first in firsts]
@@ -295,8 +294,8 @@ def moment_diagnostics(config: RunConfig, n_steps: int | None = None, *,
     in blocks of samples.  Blown-up paths are counted rather than
     propagated, so an untamed run reports how many samples diverged.
     """
-    if n_steps is not None and n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    if n_steps is not None:
+        n_steps = _integer("n_steps", n_steps, 1)
     reports = []
     samples = range(config.samples)
     for r in config.resolutions:

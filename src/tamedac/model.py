@@ -20,7 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import BlowupError, _integer, _positive
 from .spectral import (
     SQRT2,
     SpectralField,
@@ -53,13 +53,12 @@ class ModelParams:
     initial_data: SpectralField
 
     def __post_init__(self):
-        for name in ("a3", "a2", "a1", "a0", "horizon_T"):
+        for name in ("a3", "a2", "a1", "a0"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.a3 >= 0:
             raise ValueError(f"a3 must be negative (one-sided dissipativity), got {self.a3}")
-        if self.horizon_T <= 0:
-            raise ValueError(f"horizon_T must be positive, got {self.horizon_T}")
+        _positive("horizon_T", self.horizon_T)
 
     @classmethod
     def cubic_double_well(cls, horizon_T: float = 1.0) -> "ModelParams":
@@ -108,7 +107,7 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
         if params.a2 == 0 and params.a0 == 0:
             return dealias_grid_size(n_modes)
         return 4 * n_modes - 1
-    if grid_size < 2 * n_modes:
+    if _integer("grid_size", grid_size, 1) < 2 * n_modes:
         raise ValueError(
             f"dealiasing grid must have at least {2 * n_modes} points, got {grid_size}"
         )
@@ -189,8 +188,5 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     The output L2 norm is at most min(||F_N||, 1 / tau), which keeps a
     single explicit step bounded no matter how large the input field is.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    return SpectralField(
-        _drift_raw(params, fld.coeffs, _resolve_grid(params, fld.n_modes, grid_size), tau)
-    )
+    grid = _resolve_grid(params, fld.n_modes, grid_size)
+    return SpectralField(_drift_raw(params, fld.coeffs, grid, _positive("tau", tau)))

@@ -26,22 +26,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import AlignmentError, ResolutionError
+from .errors import AlignmentError, ResolutionError, _integer, _positive
 from .spectral import _phi, eigenvalue, eigenvalues
-
-_U64_MAX = 2 ** 64 - 1
-
-
-def _integer(name: str, value, low: int = 0) -> int:
-    """`value` as an int in [low, 2^64); it must be a Python or numpy integer."""
-    if not (isinstance(value, Integral) and low <= value <= _U64_MAX):
-        raise ValueError(f"{name} must be an integer in [{low}, 2^64), got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -68,10 +58,9 @@ class NoiseGrid:
     tau_fine: float
 
     def __post_init__(self):
-        if self.n_modes < 1 or self.m_fine < 1:
-            raise ValueError("n_modes and m_fine must be positive")
-        if not (self.tau_fine > 0 and np.isfinite(self.tau_fine)):
-            raise ValueError(f"tau_fine must be positive and finite, got {self.tau_fine}")
+        for name in ("n_modes", "m_fine"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "tau_fine", _positive("tau_fine", self.tau_fine))
 
     @property
     def horizon(self) -> float:
@@ -79,9 +68,8 @@ class NoiseGrid:
 
     @classmethod
     def for_horizon(cls, horizon: float, m_fine: int, n_modes: int) -> "NoiseGrid":
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        return cls(n_modes=n_modes, m_fine=m_fine, tau_fine=horizon / m_fine)
+        return cls(n_modes=n_modes, m_fine=m_fine,
+                   tau_fine=_positive("horizon", horizon) / _integer("m_fine", m_fine, 1))
 
 
 def increment_variances(n_modes: int, tau: float) -> np.ndarray:
@@ -93,7 +81,7 @@ def increment_variances(n_modes: int, tau: float) -> np.ndarray:
     return _phi(2.0 * eigenvalues(n_modes), tau)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: 2.0 and True must not hit the entries of 2 and 1
 def increment_variance(mode_index: int, tau: float) -> float:
     """Variance of one increment of mode `mode_index` over a step tau, in O(1)."""
     return float(_phi(2.0 * eigenvalue(mode_index), tau))
@@ -260,7 +248,7 @@ def _substeps(grid: NoiseGrid, n_modes: int, n_steps: int) -> int:
         raise ResolutionError(
             f"requested {n_modes} modes from a grid carrying {grid.n_modes}"
         )
-    if n_steps < 1 or grid.m_fine % n_steps != 0:
+    if grid.m_fine % _integer("n_steps", n_steps, 1) != 0:
         raise AlignmentError(
             f"step count {n_steps} does not divide the fine count {grid.m_fine}"
         )

@@ -25,10 +25,15 @@ def format_csv(report: ErrorReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, with LF line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def emit_csv(report: ErrorReport, path: str) -> None:
     """Write the error table; one row per resolution plus a slope footer."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(report))
+    write_text(path, format_csv(report))
 
 
 def load_error_csv(path: str) -> tuple[list[ErrorPoint], int, float]:
@@ -157,8 +162,7 @@ def _svg_text(report: ErrorReport) -> str:
 
 def emit_loglog_plot(report: ErrorReport, path: str) -> None:
     """Write a standalone SVG with the points, the fit and a slope-1/2 guide."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_svg_text(report))
+    write_text(path, _svg_text(report))
 
 
 def print_report(report: ErrorReport, stream: TextIO) -> None:

@@ -30,7 +30,7 @@ from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ResolutionError, _integer, _positive
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,9 +60,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, n_modes: int) -> "SpectralField":
-        if n_modes < 1:
-            raise ValueError("n_modes must be positive")
-        return cls(np.zeros(n_modes))
+        return cls(np.zeros(_integer("n_modes", n_modes, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,31 +79,24 @@ class GridField:
 
 def grid_points(grid_size: int) -> np.ndarray:
     """Interior grid x_k = k / (K + 1) for k = 1..K."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
+    grid_size = _integer("grid_size", grid_size, 1)
     return np.arange(1, grid_size + 1) / (grid_size + 1.0)
 
 
 def eigenvalues(n_modes: int) -> np.ndarray:
     """Vector (lambda_1, ..., lambda_N)."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be positive")
-    i = np.arange(1, n_modes + 1, dtype=np.float64)
+    i = np.arange(1, _integer("n_modes", n_modes, 1) + 1, dtype=np.float64)
     return np.pi ** 2 * i ** 2
 
 
 def eigenvalue(i: int) -> float:
     """Dirichlet Laplacian eigenvalue pi^2 i^2 of mode i >= 1, as in eigenvalues."""
-    if i < 1:
-        raise ValueError(f"mode index must be >= 1, got {i}")
-    return np.pi ** 2 * float(i * i)
+    return np.pi ** 2 * float(_integer("mode_index", i, 1) ** 2)
 
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
     """Heat semigroup weights exp(-lambda_i t) of modes 1..N at time t >= 0."""
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
-    return np.exp(-eigenvalues(n_modes) * t)
+    return np.exp(-eigenvalues(n_modes) * _positive("t", t, zero=True))
 
 
 def phi_factors(n_modes: int, tau: float) -> np.ndarray:
@@ -119,8 +110,7 @@ def phi_factors(n_modes: int, tau: float) -> np.ndarray:
 
 def _phi(lam, tau: float):
     """(1 - e^{-lambda tau}) / lambda of a float or array lambda, as in phi_factors."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau = _positive("tau", tau)
     x = lam * tau
     return tau * (-np.expm1(-x) / x)
 
@@ -183,7 +173,7 @@ def synthesize(fld: SpectralField, grid_size: int) -> GridField:
 
     values[k] = sum_i c_i sqrt(2) sin(i pi x_k).
     """
-    if grid_size < fld.n_modes:
+    if _integer("grid_size", grid_size, 1) < fld.n_modes:
         raise ResolutionError(
             f"grid of size {grid_size} cannot resolve {fld.n_modes} modes"
         )
@@ -196,9 +186,7 @@ def analyze(grid: GridField, n_modes: int) -> SpectralField:
     c_i = (1 / (K + 1)) sum_k values[k] sqrt(2) sin(i pi x_k), exact for
     sine polynomials of degree at most K.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be positive")
-    if n_modes > grid.grid_size:
+    if _integer("n_modes", n_modes, 1) > grid.grid_size:
         raise ResolutionError(
             f"cannot extract {n_modes} modes from a grid of size {grid.grid_size}"
         )
@@ -207,8 +195,7 @@ def analyze(grid: GridField, n_modes: int) -> SpectralField:
 
 def project(fld: SpectralField, n_target: int) -> SpectralField:
     """Truncate or zero-pad to the first n_target modes; idempotent."""
-    if n_target < 1:
-        raise ValueError("n_target must be positive")
+    n_target = _integer("n_target", n_target, 1)
     n = fld.n_modes
     if n_target == n:
         return fld
@@ -243,7 +230,7 @@ def l2_norm(fld: SpectralField) -> float:
 def _sup_norms(coeffs: np.ndarray, grid_size: int | None = None) -> np.ndarray:
     """:func:`sup_norm_estimate` of every row of `coeffs` (shape (..., N))."""
     least = 4 * coeffs.shape[-1]
-    if grid_size is not None and grid_size < least:
+    if grid_size is not None and _integer("grid_size", grid_size, 1) < least:
         raise ResolutionError(f"sup norm estimate needs grid_size >= {least}, got {grid_size}")
     return np.abs(_synthesize_raw(coeffs, grid_size or least)).max(axis=-1)
 
@@ -268,4 +255,4 @@ def dealias_grid_size(n_modes: int) -> int:
     2 (K + 1) = 5 * 2 ceil(N / 2), which is smooth for dyadic mode counts;
     K = 2 N itself can give an FFT length with a large prime factor.
     """
-    return 5 * ((n_modes + 1) // 2) - 1
+    return 5 * ((_integer("n_modes", n_modes, 1) + 1) // 2) - 1

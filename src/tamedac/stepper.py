@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import BlowupError, _integer
 from .model import ModelParams, _check, _drift_raw, _resolve_grid, _Segments
 from .spectral import (
     SpectralField,
@@ -85,10 +85,11 @@ class PathBlock:
                         sample_indices: Sequence[int | None], **options) -> "PathBlock":
         """One row per sample at the projected initial data, with tau = T / n_steps
         and one segment per mode count."""
-        modes = [int(n) for n in np.atleast_1d(n_modes)]
+        modes = [_integer("n_modes", n, 1) for n in np.atleast_1d(n_modes)]
         initial = np.concatenate([project(params.initial_data, n).coeffs for n in modes])
         return cls(params, np.repeat(initial[None, :], len(sample_indices), axis=0),
-                   params.horizon_T / n_steps, sample_indices, segments=modes, **options)
+                   params.horizon_T / _integer("n_steps", n_steps, 1), sample_indices,
+                   segments=modes, **options)
 
     def parts(self) -> list[np.ndarray]:
         """The coefficients of every segment, views of shape (S, N_j)."""
@@ -141,15 +142,13 @@ def simulate_path(params: ModelParams, n_modes: int, n_steps: int,
         Per-step, per-mode stochastic convolution increments of shape
         (n_steps, n_modes), or None for the deterministic (noise-off) mode.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,))
     if increments is not None:
         increments = np.asarray(increments, dtype=np.float64)
         if increments.shape != (n_steps, n_modes):
             raise ValueError(
                 f"increments must have shape {(n_steps, n_modes)}, got {increments.shape}"
             )
-    block = PathBlock.at_initial_data(params, n_modes, n_steps, (sample_index,))
     for m in range(n_steps):
         block.step(None if increments is None else increments[m])
     return PathResult(terminal=SpectralField(block.coeffs[0]))

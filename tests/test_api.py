@@ -5,11 +5,24 @@ Standard library only: the names are read from the sources with ``ast``.
 
 import ast
 import inspect
+import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tamedac
+from tamedac import (
+    GridField,
+    ModelParams,
+    NoiseGrid,
+    NoiseRealization,
+    RunConfig,
+    SpectralField,
+)
+from tamedac.noise import Coarsener, increment_variances
+from tamedac.spectral import eigenvalues, phi_factors, semigroup_factors
 from tamedac.stepper import PathBlock
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +51,77 @@ PARAMETERS = {
     tamedac.moment_diagnostics: ["config", "n_steps", "tamed", "with_noise"],
     tamedac.strong_error_study: ["config", "threads"],
 }
+
+
+PARAMS = ModelParams.cubic_double_well()
+FIELD = SpectralField([1.0])
+GRID = NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.125)
+CONFIG = RunConfig(mode="joint", resolutions=(2, 4), ref_resolution=8, samples=1,
+                   master_seed=0, horizon_T=1.0, params=PARAMS)
+
+# Every public count, index and grid size: (entry point, field, call with the value v).
+COUNTS = [
+    ("SpectralField.zeros", "n_modes", lambda v: SpectralField.zeros(v)),
+    ("grid_points", "grid_size", lambda v: tamedac.grid_points(v)),
+    ("eigenvalues", "n_modes", lambda v: eigenvalues(v)),
+    ("eigenvalue", "mode_index", lambda v: tamedac.eigenvalue(v)),
+    ("increment_variance", "mode_index", lambda v: tamedac.increment_variance(v, 0.1)),
+    ("analyze", "n_modes", lambda v: tamedac.analyze(GridField(np.zeros(8)), v)),
+    ("project", "n_target", lambda v: tamedac.project(FIELD, v)),
+    ("synthesize", "grid_size", lambda v: tamedac.synthesize(FIELD, v)),
+    ("sup_norm_estimate", "grid_size", lambda v: tamedac.sup_norm_estimate(FIELD, v)),
+    ("dealias_grid_size", "n_modes", lambda v: tamedac.dealias_grid_size(v)),
+    ("nonlinearity_galerkin", "grid_size",
+     lambda v: tamedac.nonlinearity_galerkin(PARAMS, FIELD, v)),
+    ("tamed_drift", "grid_size", lambda v: tamedac.tamed_drift(PARAMS, FIELD, 0.1, v)),
+    ("NoiseGrid", "n_modes", lambda v: NoiseGrid(v, 8, 0.125)),
+    ("NoiseGrid", "m_fine", lambda v: NoiseGrid(4, v, 0.125)),
+    ("NoiseGrid.for_horizon", "n_modes", lambda v: NoiseGrid.for_horizon(1.0, 8, v)),
+    ("NoiseGrid.for_horizon", "m_fine", lambda v: NoiseGrid.for_horizon(1.0, v, 4)),
+    ("Coarsener", "n_steps", lambda v: Coarsener(GRID, 4, v)),
+    ("increments", "n_steps", lambda v: NoiseRealization(GRID, 0, 0).increments(4, v)),
+    ("at_initial_data", "n_modes", lambda v: PathBlock.at_initial_data(PARAMS, v, 4, (0,))),
+    ("at_initial_data", "n_steps", lambda v: PathBlock.at_initial_data(PARAMS, 4, v, (0,))),
+    ("simulate_path", "n_modes", lambda v: tamedac.simulate_path(PARAMS, v, 4)),
+    ("simulate_path", "n_steps", lambda v: tamedac.simulate_path(PARAMS, 4, v)),
+    ("coupled_terminal", "n_modes",
+     lambda v: tamedac.coupled_terminal(PARAMS, NoiseRealization(GRID, 0, 0), v, 8)),
+    ("coupled_terminal", "n_steps",
+     lambda v: tamedac.coupled_terminal(PARAMS, NoiseRealization(GRID, 0, 0), 4, v)),
+    ("moment_diagnostics", "n_steps", lambda v: tamedac.moment_diagnostics(CONFIG, n_steps=v)),
+    ("strong_error_study", "threads", lambda v: tamedac.strong_error_study(CONFIG, threads=v)),
+]
+# Every public step size and horizon, in the same form; only t may be 0.
+STEP_SIZES = [
+    ("phi_factors", "tau", lambda v: phi_factors(4, v)),
+    ("increment_variances", "tau", lambda v: increment_variances(4, v)),
+    ("increment_variance", "tau", lambda v: tamedac.increment_variance(1, v)),
+    ("tamed_drift", "tau", lambda v: tamedac.tamed_drift(PARAMS, FIELD, v)),
+    ("semigroup_factors", "t", lambda v: semigroup_factors(4, v)),
+    ("NoiseGrid", "tau_fine", lambda v: NoiseGrid(4, 8, v)),
+    ("NoiseGrid.for_horizon", "horizon", lambda v: NoiseGrid.for_horizon(v, 8, 4)),
+    ("ModelParams", "horizon_T", lambda v: replace(PARAMS, horizon_T=v)),
+    ("RunConfig", "horizon_T", lambda v: replace(CONFIG, horizon_T=v)),
+]
+BOUNDARY_CASES = (
+    [(*entry, v) for entry in COUNTS for v in (2.5, 4.0, True, 0, -1)]
+    + [(*entry, v) for entry in STEP_SIZES for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)
+       if not (entry[1] == "t" and v == 0)]
+)
+
+
+@pytest.mark.parametrize("entry, field, call, value", BOUNDARY_CASES,
+                         ids=[f"{entry}-{field}-{value!r}"
+                              for entry, field, _, value in BOUNDARY_CASES])
+def test_out_of_contract_arguments_name_their_field(entry, field, call, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, -1])
+def test_sample_index_is_checked(value):
+    with pytest.raises(ValueError, match="^sample_index must be an integer"):
+        tamedac.sample_squared_errors(CONFIG, value)
 
 
 def names_imported_from_package(path: Path) -> set[str]:

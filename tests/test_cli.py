@@ -458,3 +458,17 @@ class TestDiagnoseCommand:
     def test_nonpositive_steps_rejected(self, steps, capsys):
         assert main(["diagnose", "--resolutions", "8", "--steps", steps]) == 2
         assert "steps must be positive" in capsys.readouterr().err
+
+    def test_coprime_resolutions_run_each_on_its_own(self, tmp_path):
+        # Their least common multiple is beyond 2^64, and no run needs it.
+        resolutions = "61,67,71,73,79,83,89,97,101,103,107,109"
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--resolutions", resolutions, "--samples", "1", "--steps", "1",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == resolutions.split(",")
+
+    @pytest.mark.parametrize("resolutions", ["16,8", "8,8"])
+    def test_resolutions_must_ascend(self, resolutions, capsys):
+        assert main(["diagnose", "--resolutions", resolutions, "--samples", "1"]) == 2
+        assert "resolutions must be strictly ascending" in capsys.readouterr().err

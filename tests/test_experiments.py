@@ -294,7 +294,7 @@ class TestStrongErrorStudy:
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_nonpositive_threads(self, double_well, threads):
-        with pytest.raises(ValueError, match="threads must be positive"):
+        with pytest.raises(ValueError, match="threads must be an integer"):
             strong_error_study(small_config(double_well), threads=threads)
 
 
@@ -423,7 +423,7 @@ class TestMomentDiagnostics:
     def test_rejects_nonpositive_step_count(self, double_well):
         config = small_config(double_well, samples=1)
         for n_steps in (0, -3):
-            with pytest.raises(ValueError, match="n_steps must be positive"):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
                 moment_diagnostics(config, n_steps=n_steps)
 
 
