@@ -9,24 +9,23 @@ diagnose   Path-norm moment diagnostics across samples.
 
 Option precedence is defaults < config file < command-line flags.  The config
 file is flat ``key = value`` text with ``#`` comments; each value passes the
-type and range check of the flag of the same name.  Exit codes: 0 success,
-2 usage error, 3 I/O error, 4 numerical blowup.
+check of the flag of the same name.  Counts, the seed and the horizon are
+checked by ``errors._integer`` / ``_positive`` under the library's name for
+their field (``--seed``: master_seed, ``--ref``: ref_resolution, ``--steps``:
+n_steps, ``--horizon``: horizon_T), so a bad value fails with the library's
+message after ``argument --<flag>:`` (and ``path:lineno:`` on a config line).
+Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical blowup.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
-from .errors import BlowupError
-from .experiments import (
-    RunConfig,
-    moment_diagnostics,
-    strong_error_study,
-)
+from .errors import BlowupError, _integer, _positive
+from .experiments import MODES, RunConfig, moment_diagnostics, strong_error_study
 from .model import ModelParams
 from .noise import IncrementStream, NoiseGrid
 from .reporting import emit_csv, emit_loglog_plot, print_report, write_text
@@ -42,39 +41,38 @@ class UsageError(Exception):
     pass
 
 
-def _int_in(low: int, high: float, message: str):
-    """An argparse type: an int in [low, high), else `message`."""
-    def parse(text: str) -> int:
+def _checked(convert, check, name: str, *low):
+    """An argparse type: `convert` the text, then pass it to the library's
+    `check(name, value, *low)`; argparse reports its message unchanged."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not low <= value < high:
-            raise argparse.ArgumentTypeError(message)
-        return value
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        try:
+            return check(name, value, *low)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
-
-
-def _resolutions(text: str) -> tuple[int, ...]:
-    """An argparse type: comma-separated positive ints."""
-    return tuple(map(_int_in(1, math.inf, "resolutions must be positive"), text.split(",")))
 
 
 def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.ArgumentParser:
     """Declare the options (the config keys) of `command`, or of every command."""
-    p.add_argument("--resolutions", type=_resolutions,
+    resolution = _checked(int, _integer, "resolutions", 1)
+    p.add_argument("--resolutions", type=lambda text: tuple(map(resolution, text.split(","))),
                    default=(4, 8, 16, 32, 64, 128) if command == "converge" else (64,),
                    help="comma-separated ascending resolutions")
     if command != "simulate":
-        p.add_argument("--samples", type=int, default=100 if command == "diagnose" else 200,
+        p.add_argument("--samples", type=_checked(int, _integer, "samples", 1),
+                       default=100 if command == "diagnose" else 200,
                        help="Monte Carlo sample count")
-    p.add_argument("--seed", type=_int_in(0, 2 ** 64, "master_seed must fit in an unsigned "
-                                                     "64-bit integer"),
-                   default=0, help="master seed; the single source of randomness")
+    p.add_argument("--seed", type=_checked(int, _integer, "master_seed", 0), default=0,
+                   help="master seed; the single source of randomness")
     if command in (None, "converge"):
-        p.add_argument("--threads", type=_int_in(1, math.inf, "threads must be positive"),
+        p.add_argument("--threads", type=_checked(int, _integer, "threads", 1),
                        default=1, help="worker processes (1 = byte-exact output)")
-    p.add_argument("--horizon", type=float, default=DEFAULT_PARAMS.horizon_T, help="time horizon T")
+    p.add_argument("--horizon", type=_checked(float, _positive, "horizon_T"),
+                   default=DEFAULT_PARAMS.horizon_T, help="time horizon T")
     for name, what in (("a3", "cubic drift coefficient (< 0)"),
                        ("a2", "quadratic drift coefficient"),
                        ("a1", "linear drift coefficient"),
@@ -83,14 +81,15 @@ def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.Ar
                        help=f"{what}; negative exponent notation needs --{name}=-1e120")
     p.add_argument("--out", help="output CSV path")
     if command in (None, "converge"):
-        p.add_argument("--mode", choices=("joint", "spatial", "temporal"), default="joint")
-        p.add_argument("--ref", type=int, default=1024, help="reference resolution (N_ref = M_ref)")
+        p.add_argument("--mode", choices=MODES, default="joint")
+        p.add_argument("--ref", type=_checked(int, _integer, "ref_resolution", 1), default=1024,
+                       help="reference resolution (N_ref = M_ref)")
         p.add_argument("--plot", help="output SVG log-log plot path")
     if command != "converge":
-        p.add_argument("--steps", type=_int_in(1, math.inf, "steps must be positive"),
+        p.add_argument("--steps", type=_checked(int, _integer, "n_steps", 1),
                        help="time steps (default: equal to the resolution)")
     if command in (None, "simulate"):
-        p.add_argument("--snapshots", type=_int_in(2, math.inf, "snapshots must be at least 2"),
+        p.add_argument("--snapshots", type=_checked(int, _integer, "snapshots", 2),
                        default=11, help="number of snapshot times incl. endpoints")
     return p
 

@@ -97,6 +97,8 @@ class ErrorReport:
 
 def resolution_pair(mode: str, resolution: int, ref_resolution: int) -> tuple[int, int]:
     """(n_modes, n_steps) of the coarse path for one study resolution."""
+    resolution = _integer("resolution", resolution, 1)
+    ref_resolution = _integer("ref_resolution", ref_resolution, 1)
     if mode == "joint":
         return resolution, resolution
     if mode == "spatial":
@@ -159,18 +161,16 @@ def sample_squared_errors(config: RunConfig, sample_index: int) -> np.ndarray:
 def _study_block(config: RunConfig, first: int, count: int) -> np.ndarray:
     """Squared errors of samples first .. first + count - 1.
 
-    A blowup is reported for the lowest-indexed sample that blows up.
+    A block that blows up is rerun one sample at a time, so a blowup is
+    reported for the lowest-indexed sample that blows up.
     """
     try:
         return _block_squared_errors(config, range(first, first + count))
     except BlowupError as exc:
-        s = exc.sample_index
-        # The rows run in lockstep, so the first row to blow up may have a
-        # lower-indexed sample that blows up at a later step.
-        for lower in range(first, s):
-            _study_block(config, lower, 1)
-        raise BlowupError(f"sample {s} blew up: {exc}",
-                          step_index=exc.step_index, sample_index=s) from exc
+        if count > 1:
+            return np.concatenate([_study_block(config, s, 1) for s in range(first, first + count)])
+        raise BlowupError(f"sample {first} blew up: {exc}",
+                          step_index=exc.step_index, sample_index=first) from exc
 
 
 def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:

@@ -20,7 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BlowupError, _integer, _positive
+from .errors import BlowupError, ResolutionError, _integer, _positive
 from .spectral import (
     SQRT2,
     SpectralField,
@@ -108,7 +108,7 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
             return dealias_grid_size(n_modes)
         return 4 * n_modes - 1
     if _integer("grid_size", grid_size, 1) < 2 * n_modes:
-        raise ValueError(
+        raise ResolutionError(
             f"dealiasing grid must have at least {2 * n_modes} points, got {grid_size}"
         )
     return grid_size

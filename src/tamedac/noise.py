@@ -179,7 +179,7 @@ class Coarsener:
 def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
     """One stochastic convolution increment over a fine step; bit repeatable."""
     if key.mode_index > grid.n_modes:
-        raise ValueError(
+        raise ResolutionError(
             f"mode {key.mode_index} outside grid with {grid.n_modes} modes"
         )
     if key.fine_step_index >= grid.m_fine:

@@ -17,7 +17,9 @@ from tamedac import (
     GridField,
     ModelParams,
     NoiseGrid,
+    NoiseKey,
     NoiseRealization,
+    ResolutionError,
     RunConfig,
     SpectralField,
 )
@@ -90,6 +92,8 @@ COUNTS = [
      lambda v: tamedac.coupled_terminal(PARAMS, NoiseRealization(GRID, 0, 0), 4, v)),
     ("moment_diagnostics", "n_steps", lambda v: tamedac.moment_diagnostics(CONFIG, n_steps=v)),
     ("strong_error_study", "threads", lambda v: tamedac.strong_error_study(CONFIG, threads=v)),
+    ("resolution_pair", "resolution", lambda v: tamedac.resolution_pair("joint", v, 8)),
+    ("resolution_pair", "ref_resolution", lambda v: tamedac.resolution_pair("joint", 4, v)),
 ]
 # Every public step size and horizon, in the same form; only t may be 0.
 STEP_SIZES = [
@@ -116,6 +120,24 @@ BOUNDARY_CASES = (
 def test_out_of_contract_arguments_name_their_field(entry, field, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be "):
         call(value)
+
+
+# Every site where a grid is too small for the modes asked of it.
+TOO_FEW_POINTS = {
+    "synthesize": lambda: tamedac.synthesize(SpectralField.zeros(8), 4),
+    "analyze": lambda: tamedac.analyze(GridField(np.zeros(4)), 8),
+    "sup_norm_estimate": lambda: tamedac.sup_norm_estimate(SpectralField.zeros(8), 16),
+    "Coarsener": lambda: Coarsener(GRID, 8, 8),
+    "nonlinearity_galerkin": lambda: tamedac.nonlinearity_galerkin(
+        PARAMS, SpectralField.zeros(8), 10),
+    "sample_fine_increment": lambda: tamedac.sample_fine_increment(NoiseKey(0, 0, 5, 0), GRID),
+}
+
+
+@pytest.mark.parametrize("site", TOO_FEW_POINTS)
+def test_grid_too_small_raises_resolution_error(site):
+    with pytest.raises(ResolutionError):
+        TOO_FEW_POINTS[site]()
 
 
 @pytest.mark.parametrize("value", [2.5, 4.0, True, -1])

@@ -44,6 +44,11 @@ class TestParsing:
         assert main(["converge", "--samples", "0", "--ref", "32",
                      "--resolutions", "4,8"]) == 2
 
+    def test_zero_samples_fail_with_the_flag_and_the_library_message(self, capsys):
+        assert main(["converge", "--samples", "0"]) == 2
+        assert ("argument --samples: samples must be an integer in [1, 2^64), got 0"
+                in capsys.readouterr().err)
+
     def test_negative_cubic_coefficient_required(self):
         assert main(["converge", "--a3", "1.0", "--ref", "32",
                      "--resolutions", "4,8"]) == 2
@@ -57,7 +62,8 @@ class TestParsing:
     def test_nonpositive_threads_rejected(self, argv, capsys, tmp_path):
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 2
-        assert "threads must be positive" in capsys.readouterr().err
+        assert ("argument --threads: threads must be an integer in [1, 2^64), got 0"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_paper_scale_defaults(self):
@@ -98,14 +104,23 @@ class TestConfigFile:
     def test_missing_file_rejected(self):
         assert main(["converge", "--config", "/no/such/file.cfg"]) == 2
 
-    # Config values go through the type of the flag of the same name.
+    # Config values go through the type of the flag of the same name, which
+    # runs the library's check of the field it sets; a key of another command
+    # (samples, ref and threads under simulate) is checked all the same.
     @pytest.mark.parametrize("line, message", [
-        ("threads = 0", "threads must be positive"),
-        ("steps = -3", "steps must be positive"),
-        ("seed = 18446744073709551616", "master_seed must fit in an unsigned 64-bit integer"),
-        ("resolutions = 8,0", "resolutions must be positive"),
-        ("snapshots = 1", "snapshots must be at least 2"),
+        ("threads = 0", "argument --threads: threads must be an integer in [1, 2^64), got 0"),
+        ("steps = -3", "argument --steps: n_steps must be an integer in [1, 2^64), got -3"),
+        ("seed = 18446744073709551616", "argument --seed: master_seed must be an integer in "
+                                        "[0, 2^64), got 18446744073709551616"),
+        ("resolutions = 8,0",
+         "argument --resolutions: resolutions must be an integer in [1, 2^64), got 0"),
+        ("snapshots = 1",
+         "argument --snapshots: snapshots must be an integer in [2, 2^64), got 1"),
         ("samples = many", "invalid int value: 'many'"),
+        ("samples = 0", "argument --samples: samples must be an integer in [1, 2^64), got 0"),
+        ("ref = 0", "argument --ref: ref_resolution must be an integer in [1, 2^64), got 0"),
+        ("horizon = nan", "argument --horizon: horizon_T must be positive and finite, got nan"),
+        ("horizon = -1", "argument --horizon: horizon_T must be positive and finite, got -1.0"),
     ])
     def test_values_pass_the_flag_checks(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -386,7 +401,8 @@ class TestSimulateCommand:
         out = tmp_path / "path.csv"
         assert main(["simulate", "--resolutions", "8", "--snapshots", count,
                      "--out", str(out)]) == 2
-        assert "snapshots must be at least 2" in capsys.readouterr().err
+        assert (f"argument --snapshots: snapshots must be an integer in [2, 2^64), got {count}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys):
@@ -415,7 +431,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_rejected(self, seed, capsys):
         assert main(["simulate", "--resolutions", "8", "--seed", seed]) == 2
-        assert "master_seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+        assert (f"argument --seed: master_seed must be an integer in [0, 2^64), got {seed}"
+                in capsys.readouterr().err)
 
 
 class TestDiagnoseCommand:
@@ -457,7 +474,8 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_steps_rejected(self, steps, capsys):
         assert main(["diagnose", "--resolutions", "8", "--steps", steps]) == 2
-        assert "steps must be positive" in capsys.readouterr().err
+        assert (f"argument --steps: n_steps must be an integer in [1, 2^64), got {steps}"
+                in capsys.readouterr().err)
 
     def test_coprime_resolutions_run_each_on_its_own(self, tmp_path):
         # Their least common multiple is beyond 2^64, and no run needs it.
