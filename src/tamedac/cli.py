@@ -9,11 +9,12 @@ diagnose   Path-norm moment diagnostics across samples.
 
 Option precedence is defaults < config file < command-line flags.  The config
 file is flat ``key = value`` text with ``#`` comments; each value passes the
-check of the flag of the same name.  Counts, the seed and the horizon are
-checked by ``errors._integer`` / ``_positive`` under the library's name for
-their field (``--seed``: master_seed, ``--ref``: ref_resolution, ``--steps``:
-n_steps, ``--horizon``: horizon_T), so a bad value fails with the library's
-message after ``argument --<flag>:`` (and ``path:lineno:`` on a config line).
+check of the flag of the same name.  Counts, the seed, the horizon and the
+drift coefficients are checked by ``errors._integer`` / ``_real`` under the
+library's name for their field (``--seed``: master_seed, ``--ref``:
+ref_resolution, ``--steps``: n_steps, ``--horizon``: horizon_T, ``--a3``: a3),
+so a bad value fails with the library's message after ``argument --<flag>:``
+(and ``path:lineno:`` on a config line).
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical blowup.
 """
 
@@ -24,7 +25,7 @@ import dataclasses
 import os
 import sys
 
-from .errors import BlowupError, _integer, _positive
+from .errors import BlowupError, _integer, _real
 from .experiments import MODES, RunConfig, moment_diagnostics, strong_error_study
 from .model import ModelParams
 from .noise import IncrementStream, NoiseGrid
@@ -41,16 +42,16 @@ class UsageError(Exception):
     pass
 
 
-def _checked(convert, check, name: str, *low):
+def _checked(convert, check, name: str, *bounds):
     """An argparse type: `convert` the text, then pass it to the library's
-    `check(name, value, *low)`; argparse reports its message unchanged."""
+    `check(name, value, *bounds)`; argparse reports its message unchanged."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
         try:
-            return check(name, value, *low)
+            return check(name, value, *bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -71,13 +72,14 @@ def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.Ar
     if command in (None, "converge"):
         p.add_argument("--threads", type=_checked(int, _integer, "threads", 1),
                        default=1, help="worker processes (1 = byte-exact output)")
-    p.add_argument("--horizon", type=_checked(float, _positive, "horizon_T"),
+    p.add_argument("--horizon", type=_checked(float, _real, "horizon_T", "positive"),
                    default=DEFAULT_PARAMS.horizon_T, help="time horizon T")
-    for name, what in (("a3", "cubic drift coefficient (< 0)"),
-                       ("a2", "quadratic drift coefficient"),
-                       ("a1", "linear drift coefficient"),
-                       ("a0", "constant drift coefficient")):
-        p.add_argument(f"--{name}", type=float, default=getattr(DEFAULT_PARAMS, name),
+    for name, sign, what in (("a3", "negative", "cubic drift coefficient (< 0)"),
+                             ("a2", "", "quadratic drift coefficient"),
+                             ("a1", "", "linear drift coefficient"),
+                             ("a0", "", "constant drift coefficient")):
+        p.add_argument(f"--{name}", type=_checked(float, _real, name, sign),
+                       default=getattr(DEFAULT_PARAMS, name),
                        help=f"{what}; negative exponent notation needs --{name}=-1e120")
     p.add_argument("--out", help="output CSV path")
     if command in (None, "converge"):
@@ -164,22 +166,24 @@ def _check_writable(*paths: str | None) -> None:
             raise OSError(f"cannot write {path}: not a file in a writable directory")
 
 
-def _model_params(opts: dict) -> ModelParams:
+def _usage(check, *args, **kwargs):
+    """`check(*args, **kwargs)`, with a ValueError reported as a usage error."""
     try:
-        return dataclasses.replace(DEFAULT_PARAMS, a3=opts["a3"], a2=opts["a2"], a1=opts["a1"],
-                                   a0=opts["a0"], horizon_T=opts["horizon"])
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _model_params(opts: dict) -> ModelParams:
+    return dataclasses.replace(DEFAULT_PARAMS, a3=opts["a3"], a2=opts["a2"], a1=opts["a1"],
+                               a0=opts["a0"], horizon_T=opts["horizon"])
 
 
 def _run_converge(opts: dict) -> int:
     params = _model_params(opts)
-    try:
-        config = RunConfig(mode=opts["mode"], resolutions=opts["resolutions"],
-                           ref_resolution=opts["ref"], samples=opts["samples"],
-                           master_seed=opts["seed"], horizon_T=opts["horizon"], params=params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _usage(RunConfig, mode=opts["mode"], resolutions=opts["resolutions"],
+                    ref_resolution=opts["ref"], samples=opts["samples"],
+                    master_seed=opts["seed"], horizon_T=opts["horizon"], params=params)
     if len(config.resolutions) < 2:
         raise UsageError("converge needs at least two resolutions to fit a slope")
     out, plot = opts["out"], opts["plot"]
@@ -204,13 +208,15 @@ def _run_simulate(opts: dict) -> int:
         raise UsageError("simulate takes a single resolution")
     n_modes, = opts["resolutions"]
     n_steps = opts["steps"] or n_modes
+    tau = _usage(_real, "horizon / steps", opts["horizon"] / n_steps, "positive")
     _check_writable(opts["out"])
 
     # The noise grid is the path's own, so its increments stream uncoarsened.
     noise = IncrementStream(NoiseGrid.for_horizon(opts["horizon"], n_steps, n_modes),
                             opts["seed"], (0,))
     path = PathBlock.at_initial_data(params, n_modes, n_steps, (0,))
-    count = opts["snapshots"]
+    # More than n_steps + 1 snapshot times round to every step all the same.
+    count = min(opts["snapshots"], n_steps + 1)
     record = sorted({round(j * n_steps / (count - 1)) for j in range(count)})
     snapshots = {0: path.coeffs[0]}
     for m in range(1, n_steps + 1):
@@ -219,7 +225,6 @@ def _run_simulate(opts: dict) -> int:
             snapshots[m] = path.coeffs[0]
 
     render = 4 * n_modes
-    tau = opts["horizon"] / n_steps
     x = grid_points(render)
     columns = [_synthesize_raw(snapshots[m], render) for m in record]
     header = "x," + ",".join(f"t={m * tau:.6g}" for m in record)
@@ -242,12 +247,11 @@ def _run_diagnose(opts: dict) -> int:
     if list(resolutions) != sorted(set(resolutions)):
         raise UsageError("resolutions must be strictly ascending")
     # Each resolution runs on its own, with the least reference it admits.
-    try:
-        configs = [RunConfig(mode="joint", resolutions=(r,), ref_resolution=2 * r,
-                             samples=opts["samples"], master_seed=opts["seed"],
-                             horizon_T=opts["horizon"], params=params) for r in resolutions]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    configs = [_usage(RunConfig, mode="joint", resolutions=(r,), ref_resolution=2 * r,
+                      samples=opts["samples"], master_seed=opts["seed"],
+                      horizon_T=opts["horizon"], params=params) for r in resolutions]
+    if opts["steps"]:
+        _usage(_real, "horizon / steps", opts["horizon"] / opts["steps"], "positive")
     _check_writable(opts["out"])
 
     reports = [d for config in configs for d in moment_diagnostics(config, n_steps=opts["steps"])]

@@ -13,15 +13,16 @@ def _integer(name: str, value, low: int = 0) -> int:
     return int(value)
 
 
-def _positive(name: str, value, zero: bool = False) -> float:
-    """`value` as a float; it must be a finite real > 0 (>= 0 with `zero`)."""
+def _real(name: str, value, sign: str = "") -> float:
+    """`value` as a float; it must be a finite real, and also "positive" (> 0),
+    "nonnegative" (>= 0) or "negative" (< 0) if `sign` names one of these."""
     try:
         real = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
     except OverflowError:  # an int or fraction beyond the float range
         real = math.inf
-    if not (0 <= real < math.inf and (zero or real > 0)):
-        sign = "nonnegative" if zero else "positive"
-        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    signed = {"": True, "positive": real > 0, "nonnegative": real >= 0, "negative": real < 0}
+    if not (math.isfinite(real) and signed[sign]):
+        raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
     return real
 
 

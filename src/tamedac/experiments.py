@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowupError, _integer, _positive
+from .errors import BlowupError, _integer, _real
 from .model import ModelParams
 from .noise import Coarsener, IncrementStream, NoiseGrid, NoiseRealization
 from .spectral import _row_norms, _sup_norms
@@ -71,7 +71,8 @@ class RunConfig:
                 )
         if self.ref_resolution <= res[-1]:
             raise ValueError("ref_resolution must exceed every study resolution")
-        horizon = _positive("horizon_T", self.horizon_T)
+        horizon = _real("horizon_T", self.horizon_T, "positive")
+        _real("horizon_T / ref_resolution", horizon / self.ref_resolution, "positive")
         if abs(horizon - self.params.horizon_T) > 1e-12 * horizon:
             raise ValueError("horizon_T must match params.horizon_T")
 

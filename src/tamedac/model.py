@@ -20,7 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BlowupError, ResolutionError, _integer, _positive
+from .errors import BlowupError, ResolutionError, _integer, _real
 from .spectral import (
     SQRT2,
     SpectralField,
@@ -53,12 +53,10 @@ class ModelParams:
     initial_data: SpectralField
 
     def __post_init__(self):
-        for name in ("a3", "a2", "a1", "a0"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.a3 >= 0:
-            raise ValueError(f"a3 must be negative (one-sided dissipativity), got {self.a3}")
-        _positive("horizon_T", self.horizon_T)
+        # a3 < 0 makes the drift one-sided dissipative, as the scheme's error bounds assume.
+        for name, sign in (("a3", "negative"), ("a2", ""), ("a1", ""), ("a0", ""),
+                           ("horizon_T", "positive")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), sign))
 
     @classmethod
     def cubic_double_well(cls, horizon_T: float = 1.0) -> "ModelParams":
@@ -189,4 +187,4 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     single explicit step bounded no matter how large the input field is.
     """
     grid = _resolve_grid(params, fld.n_modes, grid_size)
-    return SpectralField(_drift_raw(params, fld.coeffs, grid, _positive("tau", tau)))
+    return SpectralField(_drift_raw(params, fld.coeffs, grid, _real("tau", tau, "positive")))

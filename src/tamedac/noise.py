@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import AlignmentError, ResolutionError, _integer, _positive
+from .errors import AlignmentError, ResolutionError, _integer, _real
 from .spectral import _phi, eigenvalue, eigenvalues
 
 
@@ -60,7 +60,7 @@ class NoiseGrid:
     def __post_init__(self):
         for name in ("n_modes", "m_fine"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        object.__setattr__(self, "tau_fine", _positive("tau_fine", self.tau_fine))
+        object.__setattr__(self, "tau_fine", _real("tau_fine", self.tau_fine, "positive"))
 
     @property
     def horizon(self) -> float:
@@ -69,7 +69,7 @@ class NoiseGrid:
     @classmethod
     def for_horizon(cls, horizon: float, m_fine: int, n_modes: int) -> "NoiseGrid":
         return cls(n_modes=n_modes, m_fine=m_fine,
-                   tau_fine=_positive("horizon", horizon) / _integer("m_fine", m_fine, 1))
+                   tau_fine=_real("horizon", horizon, "positive") / _integer("m_fine", m_fine, 1))
 
 
 def increment_variances(n_modes: int, tau: float) -> np.ndarray:

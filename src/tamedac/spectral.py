@@ -30,7 +30,7 @@ from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
 
-from .errors import ResolutionError, _integer, _positive
+from .errors import ResolutionError, _integer, _real
 
 SQRT2 = np.sqrt(2.0)
 
@@ -96,7 +96,7 @@ def eigenvalue(i: int) -> float:
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
     """Heat semigroup weights exp(-lambda_i t) of modes 1..N at time t >= 0."""
-    return np.exp(-eigenvalues(n_modes) * _positive("t", t, zero=True))
+    return np.exp(-eigenvalues(n_modes) * _real("t", t, "nonnegative"))
 
 
 def phi_factors(n_modes: int, tau: float) -> np.ndarray:
@@ -110,7 +110,7 @@ def phi_factors(n_modes: int, tau: float) -> np.ndarray:
 
 def _phi(lam, tau: float):
     """(1 - e^{-lambda tau}) / lambda of a float or array lambda, as in phi_factors."""
-    tau = _positive("tau", tau)
+    tau = _real("tau", tau, "positive")
     x = lam * tau
     return tau * (-np.expm1(-x) / x)
 

@@ -7,6 +7,7 @@ import ast
 import inspect
 import re
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +108,15 @@ STEP_SIZES = [
     ("ModelParams", "horizon_T", lambda v: replace(PARAMS, horizon_T=v)),
     ("RunConfig", "horizon_T", lambda v: replace(CONFIG, horizon_T=v)),
 ]
+# The drift coefficients: every one finite, a3 also negative.
+COEFFICIENTS = [("ModelParams", name, lambda v, name=name: replace(PARAMS, **{name: v}))
+                for name in ("a3", "a2", "a1", "a0")]
 BOUNDARY_CASES = (
     [(*entry, v) for entry in COUNTS for v in (2.5, 4.0, True, 0, -1)]
     + [(*entry, v) for entry in STEP_SIZES for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)
        if not (entry[1] == "t" and v == 0)]
+    + [(*entry, v) for entry in COEFFICIENTS
+       for v in (np.nan, np.inf, -np.inf, True, "x", *((0.0, 1.0) if entry[1] == "a3" else ()))]
 )
 
 
@@ -120,6 +126,17 @@ BOUNDARY_CASES = (
 def test_out_of_contract_arguments_name_their_field(entry, field, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be "):
         call(value)
+
+
+def test_drift_coefficients_are_stored_as_floats():
+    params = replace(PARAMS, a3=Fraction(-1), a1=np.float32(1.5))
+    assert type(params.a3) is type(params.a1) is float
+    assert (params.a3, params.a1) == (-1.0, 1.5)
+
+
+def test_run_config_rejects_a_finest_step_that_underflows():
+    with pytest.raises(ValueError, match=r"^horizon_T / ref_resolution must be positive"):
+        replace(CONFIG, horizon_T=5e-324, params=replace(PARAMS, horizon_T=5e-324))
 
 
 # Every site where a grid is too small for the modes asked of it.

@@ -53,6 +53,23 @@ class TestParsing:
         assert main(["converge", "--a3", "1.0", "--ref", "32",
                      "--resolutions", "4,8"]) == 2
 
+    def test_infinite_drift_coefficient_fails_with_the_flag(self, capsys):
+        assert main(["simulate", "--a1=inf"]) == 2
+        assert "argument --a1: a1 must be finite" in capsys.readouterr().err
+
+    # A horizon so small that a step of the run underflows to 0 is refused
+    # before any work, under every command.
+    @pytest.mark.parametrize("argv", [
+        "converge --resolutions 4,8 --ref 16 --samples 2 --horizon 5e-324",
+        "simulate --resolutions 8 --steps 16 --horizon 5e-324",
+        "diagnose --resolutions 8 --samples 2 --horizon 5e-324",
+        "diagnose --resolutions 1 --samples 2 --horizon 1e-323 --steps 5",
+    ])
+    def test_step_that_underflows_is_a_usage_error(self, argv, capsys):
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be positive and finite, got 0.0" in err
+
     def test_unparsable_resolutions(self):
         assert main(["converge", "--resolutions", "4,eight", "--ref", "32"]) == 2
 
@@ -121,6 +138,8 @@ class TestConfigFile:
         ("ref = 0", "argument --ref: ref_resolution must be an integer in [1, 2^64), got 0"),
         ("horizon = nan", "argument --horizon: horizon_T must be positive and finite, got nan"),
         ("horizon = -1", "argument --horizon: horizon_T must be positive and finite, got -1.0"),
+        ("a3 = 1", "argument --a3: a3 must be negative and finite, got 1.0"),
+        ("a0 = nan", "argument --a0: a0 must be finite, got nan"),
     ])
     def test_values_pass_the_flag_checks(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -427,6 +446,13 @@ class TestSimulateCommand:
         out = tmp_path / "path.csv"
         assert main(["simulate", *flags.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+    def test_snapshot_count_beyond_the_steps_takes_every_step(self, tmp_path):
+        every, huge = tmp_path / "every.csv", tmp_path / "huge.csv"
+        for count, out in (("17", every), (str(2 ** 64 - 1), huge)):
+            assert main(["simulate", "--resolutions", "8", "--steps", "16",
+                         "--snapshots", count, "--out", str(out)]) == 0
+        assert huge.read_bytes() == every.read_bytes()
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_rejected(self, seed, capsys):
