@@ -191,7 +191,7 @@ def _run_converge(opts: dict) -> int:
         raise UsageError(f"--out {out} and --plot {plot} name the same file")
     _check_writable(out, plot)
 
-    report = strong_error_study(config, threads=opts["threads"])
+    report = _usage(strong_error_study, config, threads=opts["threads"])
     print_report(report, sys.stdout)
     if out:
         emit_csv(report, out)

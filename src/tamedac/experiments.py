@@ -225,7 +225,7 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     res = np.array([p[0] for p in points], dtype=np.float64)
     err = np.array([p[1] for p in points], dtype=np.float64)
     if not (np.all(res > 0) and np.all(err > 0) and np.isfinite([res, err]).all()):
-        raise ValueError("resolutions and errors must be positive and finite")
+        raise ValueError(f"resolutions and errors must be positive and finite, got {list(points)}")
     if len(set(res)) < 2:
         raise ValueError("slope fit needs at least two distinct resolutions")
     x = -np.log2(res)

@@ -25,7 +25,7 @@ from .spectral import (
     SQRT2,
     SpectralField,
     _analyze_raw,
-    _joined,
+    _dst1,
     _row_norms,
     _synthesize_raw,
     dealias_grid_size,
@@ -77,18 +77,48 @@ def eval_poly(params: ModelParams, v):
 
 
 class _Segments:
-    """Column layout of a block of resolution segments, given as (N_j, K_j) pairs."""
+    """Column layout of a block of (N_j, K_j) resolution segments, and the drift's
+    workspace for `rows` of them: synthesis inputs and, for several, a plan."""
 
-    def __init__(self, pairs: list[tuple[int, int]]):
+    def __init__(self, pairs: list[tuple[int, int]], rows: tuple[int, ...] = ()):
         self.modes, self.sizes = (tuple(v) for v in zip(*pairs))
         self.starts, self.grid_starts = ([0, *accumulate(v)][:-1] for v in (self.modes, self.sizes))
         self.cols = tuple(slice(a, a + n) for a, n in zip(self.starts, self.modes))
-        self.parts = [(n, k, cols, slice(a, a + k))
-                      for n, k, cols, a in zip(self.modes, self.sizes, self.cols, self.grid_starts)]
+        self.grids = tuple(slice(a, a + k) for a, k in zip(self.grid_starts, self.sizes))
+        work = np.zeros(rows + (sum(self.sizes),))
+        self.pads = [(cols, k, work[..., grid])
+                     for cols, k, grid in zip(self.cols, self.sizes, self.grids)]
+        if len(self.modes) > 1:
+            # Drift column c of segment j is entry c - starts[j] of its analysed grid.
+            self.gather = np.arange(sum(self.modes)) + self.spread(
+                np.subtract(self.grid_starts, self.starts))
+            self.divisor = self.spread(SQRT2 * (np.array(self.sizes) + 1.0))
+            self.drift = np.empty(rows + (sum(self.modes),))
+            self.norms = np.empty(rows + (len(self.modes),))
+            self.products = [(self.drift[..., None, c], self.drift[..., c, None],
+                              self.norms[..., j, None, None]) for j, c in enumerate(self.cols)]
 
     def spread(self, x: np.ndarray) -> np.ndarray:
         """Per-segment values (..., J) over their segments' columns."""
         return x if len(self.modes) == 1 else np.repeat(x, self.modes, axis=-1)
+
+    def analysed(self, q: np.ndarray) -> np.ndarray:
+        """Each segment's first N_j analysed modes of the grid values `q`, which it overwrites."""
+        if len(self.modes) == 1:
+            return _analyze_raw(q, self.modes[0], overwrite=True)
+        for grid in self.grids:
+            q[..., grid] = _dst1(q[..., grid], True)  # no copy where it ran in place
+        q_n = np.take(q, self.gather, axis=-1, out=self.drift, mode="clip")
+        q_n /= self.divisor
+        return q_n
+
+    def row_norms(self, q_n: np.ndarray) -> np.ndarray:
+        """:func:`_row_norms` of each segment of the analysed drift `q_n`, (..., J)."""
+        if len(self.modes) == 1:
+            return _row_norms(q_n)
+        for row, col, out in self.products:
+            np.matmul(row, col, out=out)
+        return np.sqrt(self.norms, out=self.norms)
 
 
 def _check(ok: np.ndarray, modes: tuple[int, ...], what: str) -> None:
@@ -113,9 +143,8 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
 
 
 def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
-               tau: float | None = None, *, work: np.ndarray | None = None,
-               peak: float | None = None) -> np.ndarray:
-    """Projected drift F_N of every row of `coeffs`.
+               tau: float | None = None, *, peak: float | None = None) -> np.ndarray:
+    """Projected drift F_N of every row of `coeffs`, in a new array.
 
     `grids` is the grid size K of fields of one resolution, shape (..., N),
     or the :class:`_Segments` of a block whose columns hold several; each
@@ -124,14 +153,13 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
     segment instead, computed in rescaled arithmetic where F_N itself would
     overflow.  Segments that need no rescaling take the same operations with
     a scale of exactly 1, and the untamed drift is never rescaled.  A
-    stepper passes its synthesis `work` buffer and a bound `peak` on every
-    |coefficient| if it knows one; neither changes the result.
+    stepper passes its block's segments, with their workspace, and a bound
+    `peak` on every |coefficient| if it knows one; neither changes the result.
     """
-    seg = grids if isinstance(grids, _Segments) else _Segments([(coeffs.shape[-1], grids)])
-    if work is None:
-        work = np.zeros(coeffs.shape[:-1] + (sum(seg.sizes),))
-    values = _joined([_synthesize_raw(coeffs[..., cols], k, work[..., grid])
-                      for _, k, cols, grid in seg.parts])
+    seg = grids if isinstance(grids, _Segments) else \
+        _Segments([(coeffs.shape[-1], grids)], coeffs.shape[:-1])
+    values = [_synthesize_raw(coeffs[..., cols], k, pad) for cols, k, pad in seg.pads]
+    values = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
     limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
     # Block-wide maxima decide the common case in a few calls; written as a
     # negated <= so that NaN takes the checked branch.  No grid value exceeds
@@ -151,7 +179,7 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
         w = values / scale
         q = ((params.a3 * w + params.a2 / scale) * w + params.a1 / scale / scale) * w \
             + params.a0 / scale / scale / scale
-    q_n = _joined([_analyze_raw(q[..., grid], n, overwrite=True) for n, _, _, grid in seg.parts])
+    q_n = seg.analysed(q)
     f_max = ((-params.a3 * v_max + abs(params.a2)) * v_max + abs(params.a1)) * v_max \
         + abs(params.a0)
     if not (SQRT2 * f_max * (1 + 1e-9) < _NORM_LIMIT or np.abs(q_n).max() <= _NORM_LIMIT):
@@ -165,10 +193,11 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
             q_n /= seg.spread(unit)
             inv_cube = inv_cube / unit
     if tau is None:
-        return q_n
-    # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
-    q_n /= seg.spread(_row_norms(q_n, seg.cols) * tau + inv_cube)
-    return q_n
+        return q_n if len(seg.modes) == 1 else q_n.copy()
+    # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly;
+    # the plan's buffer is divided into a new array, as the next step reuses it.
+    return np.divide(q_n, seg.spread(seg.row_norms(q_n) * tau + inv_cube),
+                     out=q_n if len(seg.modes) == 1 else None)
 
 
 def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,

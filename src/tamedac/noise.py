@@ -200,7 +200,8 @@ def _normal_stream(master_seed: int, sample_index: int, thread: int) -> NormalSt
 def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float):
     """Weights exp(-lambda tau_f (R - 1 - j)) of the split-interval identity."""
     ages = np.arange(n_sub - 1, -1, -1, dtype=np.float64) * tau_fine
-    return np.exp(-np.multiply.outer(ages, lam))
+    with np.errstate(over="ignore"):  # where lambda tau_f (R - 1 - j) overflows, 0 is the limit
+        return np.exp(-np.multiply.outer(ages, lam))
 
 
 class NoiseRealization:

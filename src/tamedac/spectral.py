@@ -96,7 +96,8 @@ def eigenvalue(i: int) -> float:
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
     """Heat semigroup weights exp(-lambda_i t) of modes 1..N at time t >= 0."""
-    return np.exp(-eigenvalues(n_modes) * _real("t", t, "nonnegative"))
+    with np.errstate(over="ignore"):  # where lambda_i t overflows, exp(-inf) = 0 is the limit
+        return np.exp(-eigenvalues(n_modes) * _real("t", t, "nonnegative"))
 
 
 def phi_factors(n_modes: int, tau: float) -> np.ndarray:
@@ -111,8 +112,9 @@ def phi_factors(n_modes: int, tau: float) -> np.ndarray:
 def _phi(lam, tau: float):
     """(1 - e^{-lambda tau}) / lambda of a float or array lambda, as in phi_factors."""
     tau = _real("tau", tau, "positive")
-    x = lam * tau
-    return tau * (-np.expm1(-x) / x)
+    with np.errstate(over="ignore"):  # where x overflows, its limit 1 / lambda
+        x = lam * tau
+    return np.where(x < np.inf, tau * (-np.expm1(-x) / x), 1.0 / lam)
 
 
 def _pocketfft_dst(scipy_dir: str):
@@ -206,20 +208,13 @@ def project(fld: SpectralField, n_target: int) -> SpectralField:
     return SpectralField(out)
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The arrays side by side along the last axis; a single one as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row as a 1-d dot product, shape (..., 1).
 
-
-def _row_norms(x: np.ndarray, parts: tuple[slice, ...] = (slice(None),)) -> np.ndarray:
-    """L2 norm of each row of every column slice in `parts` as a 1-d dot
-    product, shape (..., len(parts)).
-
-    Every entry equals np.linalg.norm of that row's slice bit for bit,
-    whatever the other rows and columns hold; a batched einsum would differ
-    in the last bits.
+    Every entry equals np.linalg.norm of that row bit for bit, whatever the
+    other rows hold; a batched einsum would differ in the last bits.
     """
-    return np.sqrt(_joined([np.matmul(x[..., None, c], x[..., c, None])[..., 0] for c in parts]))
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0])
 
 
 def l2_norm(fld: SpectralField) -> float:

@@ -69,13 +69,13 @@ class PathBlock:
         self._samples = sample_indices
         # The drift's step size: None turns taming off.
         self._taming = tau if tamed else None
-        self._segments = _Segments([(n, _resolve_grid(params, n, None)) for n in modes])
+        # The segments' layout and the drift's workspace, reused by every step.
+        self._segments = _Segments([(n, _resolve_grid(params, n, None)) for n in modes],
+                                   coeffs.shape[:-1])
         # Segment j takes the first N_j columns of a step's increments.
         self._noise_cols = (None if len(modes) == 1
                             else np.concatenate([np.arange(n) for n in modes]))
-        # The drift's zero-padded synthesis input, reused by every step, and
-        # the coefficients a step has checked, with their largest magnitude.
-        self._work = np.zeros(coeffs.shape[:-1] + (sum(self._segments.sizes),))
+        # The coefficients a step has checked, with their largest magnitude.
         self._checked = (None, None)
         self._decay = np.concatenate([semigroup_factors(n, tau) for n in modes])
         self.weights = np.concatenate([phi_factors(n, tau) for n in modes])
@@ -104,7 +104,7 @@ class PathBlock:
         checked, peak = self._checked
         segments = self._segments
         try:
-            drift = _drift_raw(self.params, self.coeffs, segments, self._taming, work=self._work,
+            drift = _drift_raw(self.params, self.coeffs, segments, self._taming,
                                peak=peak if checked is self.coeffs else None)
             out = self._decay * self.coeffs + self.weights * drift
             if noise is not None:

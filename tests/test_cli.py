@@ -386,6 +386,22 @@ class TestConvergeCommand:
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
+    def test_huge_horizon_fits_a_slope(self, capsys):
+        assert main(["converge", "--resolutions", "4,8", "--ref", "16", "--samples", "2",
+                     "--horizon", "1e308"]) == 0
+        assert "fitted slope" in capsys.readouterr().out
+
+    def test_errors_that_admit_no_fit_are_a_usage_error(self, tmp_path, capsys):
+        # Steps of 1e308 / 8 forget all but the last fine increment, and the
+        # tamed drift, at most 1 / tau, vanishes next to it: every temporal
+        # rung ends exactly on the reference.
+        out = tmp_path / "errors.csv"
+        assert main(["converge", "--mode", "temporal", "--resolutions", "2,4", "--ref", "8",
+                     "--samples", "2", "--horizon", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: resolutions and errors must be positive and "
+                                           "finite, got [(2, 0.0), (4, 0.0)]\n")
+        assert not out.exists()
+
     def test_blowup_maps_to_exit_code_4(self, monkeypatch):
         import tamedac.cli as cli
 
@@ -453,6 +469,19 @@ class TestSimulateCommand:
             assert main(["simulate", "--resolutions", "8", "--steps", "16",
                          "--snapshots", count, "--out", str(out)]) == 0
         assert huge.read_bytes() == every.read_bytes()
+
+    def test_huge_horizon_takes_the_limit_factors(self, tmp_path):
+        # At 1e308 nearly every lambda_i tau overflows; the factors then take
+        # the limits that 1e306 reaches without overflow, so the paths agree
+        # and neither loses its drift or its noise.
+        grids = []
+        for horizon in ("1e306", "1e308"):
+            out = tmp_path / f"{horizon}.csv"
+            assert main(["simulate", "--resolutions", "8", "--horizon", horizon,
+                         "--out", str(out)]) == 0
+            grids.append(np.loadtxt(out, delimiter=",", skiprows=1))
+        assert grids[1] == pytest.approx(grids[0], rel=1e-7, abs=1e-8)
+        assert np.abs(grids[1][:, 2:]).max() > 0.01
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_rejected(self, seed, capsys):

@@ -82,6 +82,17 @@ class TestIncrementVariance:
             got = [increment_variance(i, tau) for i in range(1, 4097)]
             assert got == increment_variances(4096, tau).tolist()
 
+    @pytest.mark.parametrize("horizon", [1e306, 1e308])
+    def test_overflowing_argument_takes_the_limit(self, horizon):
+        # At 1e308, 2 lambda_i tau overflows for every mode of an 8-step path.
+        tau = horizon / 8
+        lam = eigenvalues(8)
+        variances = increment_variances(8, tau)
+        assert variances == pytest.approx(1 / (2 * lam), rel=1e-15)
+        assert [increment_variance(i, tau) for i in range(1, 9)] == variances.tolist()
+        # Of two substeps, only the younger one's increment survives.
+        assert np.array_equal(convolution_weights(lam, 2, tau / 2), [[0.0] * 8, [1.0] * 8])
+
     def test_vector_matches_scalar(self):
         tau = 1 / 64
         vec = increment_variances(6, tau)

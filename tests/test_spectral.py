@@ -139,6 +139,15 @@ class TestPhiFactor:
         )
 
 
+    @pytest.mark.parametrize("horizon", [1e306, 1e308])
+    def test_overflowing_argument_takes_the_limit(self, horizon):
+        # One step of an 8-step path: at 1e308, lambda_i tau overflows for
+        # modes 2..8, and (1 - e^{-x}) / lambda must still come out 1 / lambda.
+        tau = horizon / 8
+        assert np.array_equal(semigroup_factors(8, tau), np.zeros(8))
+        assert phi_factors(8, tau) == pytest.approx(1 / eigenvalues(8), rel=1e-15)
+
+
 class TestTransforms:
     def test_synthesize_first_mode_on_three_points(self):
         fld = SpectralField([1.0 / np.sqrt(2.0)])   # u(x) = sin(pi x)

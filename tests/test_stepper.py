@@ -11,10 +11,11 @@ from tamedac import (
     simulate_path,
     tamed_drift,
 )
+from tamedac import model, spectral
 from tamedac.errors import BlowupError
 from tamedac.model import _SCALE_LIMIT
 from tamedac.noise import IncrementStream
-from tamedac.spectral import phi_factors, semigroup_factors
+from tamedac.spectral import _dst1_route, phi_factors, semigroup_factors
 from tamedac.stepper import PathBlock
 
 from oracles import odd_drift_expansion, tamed_odd_drift
@@ -447,3 +448,33 @@ class TestSegments:
                 for noise in noises:
                     alone.step(noise[:, :n])
             assert (single.value.step_index, single.value.sample_index) == (2, 6)
+
+
+class TestDstRoutes:
+    """A block steps to the same bits on every route to the DST-I."""
+
+    MODES = (256, 4, 8, 16, 32, 64, 128)
+
+    @pytest.mark.parametrize("in_place", [True, False], ids=["fallback", "copying"])
+    def test_fallback_route_steps_a_block_bit_for_bit(self, in_place, tmp_path, monkeypatch):
+        # No extension file under tmp_path, so the route is the public
+        # scipy.fft.dst.  It promises no in-place write, and the copying
+        # variant never makes one.
+        public = _dst1_route(str(tmp_path))
+        calls = []
+
+        def route(x, overwrite=False):
+            calls.append(overwrite)
+            return public(x if in_place else x.copy(), overwrite)
+
+        rng = np.random.default_rng(100)
+        rows = 0.5 * rng.standard_normal((3, sum(self.MODES)))
+        noises = [1e-2 * rng.standard_normal((3, self.MODES[0])) for _ in range(4)]
+        direct = run_block(params_with(), rows, 1 / 64, noises, segments=self.MODES)
+        for module in (spectral, model):
+            monkeypatch.setattr(module, "_dst1", route)
+        fallback = run_block(params_with(), rows, 1 / 64, noises, segments=self.MODES)
+        # Every step synthesizes and analyses each of the seven segments.
+        assert calls.count(False) == calls.count(True) == 4 * len(self.MODES)
+        for got, want in zip(fallback[0] + fallback[1], direct[0] + direct[1]):
+            assert got.tobytes() == want.tobytes()
