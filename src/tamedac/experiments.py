@@ -75,6 +75,8 @@ class RunConfig:
         _real("horizon_T / ref_resolution", horizon / self.ref_resolution, "positive")
         if abs(horizon - self.params.horizon_T) > 1e-12 * horizon:
             raise ValueError("horizon_T must match params.horizon_T")
+        # The step sizes read params.horizon_T, so the noise grid reads it too.
+        object.__setattr__(self, "horizon_T", self.params.horizon_T)
 
 
 @dataclass(frozen=True)

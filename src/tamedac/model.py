@@ -21,15 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BlowupError, ResolutionError, _integer, _real
-from .spectral import (
-    SQRT2,
-    SpectralField,
-    _analyze_raw,
-    _dst1,
-    _row_norms,
-    _synthesize_raw,
-    dealias_grid_size,
-)
+from .spectral import SQRT2, SpectralField, _dst1, _synthesize_raw, dealias_grid_size
 
 # Grid amplitudes beyond this, divided by |a3|^(1/3) when |a3| > 1, are
 # cubed in rescaled arithmetic.  The rescaled cubic then stays below 1e120,
@@ -39,6 +31,8 @@ _SCALE_LIMIT = 1e40
 # Projected drifts whose largest coefficient stays below this have a sum of
 # squares below N * 1e280, so their plain L2 norm cannot overflow.
 _NORM_LIMIT = 1e140
+# Below this step size, tau sqrt(N) _NORM_LIMIT stays finite for every N < 1e16.
+_TAU_LIMIT = 1e160
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ def eval_poly(params: ModelParams, v):
 
 class _Segments:
     """Column layout of a block of (N_j, K_j) resolution segments, and the drift's
-    workspace for `rows` of them: synthesis inputs and, for several, a plan."""
+    workspace for `rows` of them: synthesis inputs, the analysed drift and its norms."""
 
     def __init__(self, pairs: list[tuple[int, int]], rows: tuple[int, ...] = ()):
         self.modes, self.sizes = (tuple(v) for v in zip(*pairs))
@@ -88,34 +82,34 @@ class _Segments:
         work = np.zeros(rows + (sum(self.sizes),))
         self.pads = [(cols, k, work[..., grid])
                      for cols, k, grid in zip(self.cols, self.sizes, self.grids)]
+        self.divisor = self.spread(SQRT2 * np.add(self.sizes, 1.0))
+        self.drift = np.empty(rows + (sum(self.modes),))
+        self.norms = np.empty(rows + (len(self.modes),))
+        self.products = [(self.drift[..., None, c], self.drift[..., c, None],
+                          self.norms[..., j, None, None]) for j, c in enumerate(self.cols)]
         if len(self.modes) > 1:
             # Drift column c of segment j is entry c - starts[j] of its analysed grid.
             self.gather = np.arange(sum(self.modes)) + self.spread(
                 np.subtract(self.grid_starts, self.starts))
-            self.divisor = self.spread(SQRT2 * (np.array(self.sizes) + 1.0))
-            self.drift = np.empty(rows + (sum(self.modes),))
-            self.norms = np.empty(rows + (len(self.modes),))
-            self.products = [(self.drift[..., None, c], self.drift[..., c, None],
-                              self.norms[..., j, None, None]) for j, c in enumerate(self.cols)]
 
     def spread(self, x: np.ndarray) -> np.ndarray:
         """Per-segment values (..., J) over their segments' columns."""
         return x if len(self.modes) == 1 else np.repeat(x, self.modes, axis=-1)
 
     def analysed(self, q: np.ndarray) -> np.ndarray:
-        """Each segment's first N_j analysed modes of the grid values `q`, which it overwrites."""
+        """Each segment's first N_j analysed modes of the grid values `q` (which it
+        overwrites), in the drift buffer."""
         if len(self.modes) == 1:
-            return _analyze_raw(q, self.modes[0], overwrite=True)
-        for grid in self.grids:
-            q[..., grid] = _dst1(q[..., grid], True)  # no copy where it ran in place
-        q_n = np.take(q, self.gather, axis=-1, out=self.drift, mode="clip")
-        q_n /= self.divisor
-        return q_n
+            q = _dst1(q, True)[..., : self.modes[0]]  # the result, in place or not
+        else:
+            for grid in self.grids:
+                q[..., grid] = _dst1(q[..., grid], True)  # no copy where it ran in place
+            q = np.take(q, self.gather, axis=-1, out=self.drift, mode="clip")
+        return np.divide(q, self.divisor, out=self.drift)
 
-    def row_norms(self, q_n: np.ndarray) -> np.ndarray:
-        """:func:`_row_norms` of each segment of the analysed drift `q_n`, (..., J)."""
-        if len(self.modes) == 1:
-            return _row_norms(q_n)
+    def row_norms(self) -> np.ndarray:
+        """L2 norm of each segment of the drift buffer, (..., J), as spectral's
+        `_row_norms` gives it."""
         for row, col, out in self.products:
             np.matmul(row, col, out=out)
         return np.sqrt(self.norms, out=self.norms)
@@ -142,22 +136,19 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     return grid_size
 
 
-def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
+def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
                tau: float | None = None, *, peak: float | None = None) -> np.ndarray:
     """Projected drift F_N of every row of `coeffs`, in a new array.
 
-    `grids` is the grid size K of fields of one resolution, shape (..., N),
-    or the :class:`_Segments` of a block whose columns hold several; each
-    segment of a row is computed on its own grid as if it were alone.  With
-    a step size `tau`, the tamed drift F_N / (1 + tau ||F_N||) of each
-    segment instead, computed in rescaled arithmetic where F_N itself would
-    overflow.  Segments that need no rescaling take the same operations with
-    a scale of exactly 1, and the untamed drift is never rescaled.  A
-    stepper passes its block's segments, with their workspace, and a bound
-    `peak` on every |coefficient| if it knows one; neither changes the result.
+    `seg` lays out the columns of `coeffs`, shape (..., sum N_j), and holds
+    the workspace for its rows; each segment of a row is computed on its own
+    grid as if it were alone.  With a step size `tau`, the tamed drift
+    F_N / (1 + tau ||F_N||) of each segment instead, computed in rescaled
+    arithmetic where F_N itself would overflow.  Segments that need no
+    rescaling take the same operations with a scale of exactly 1, and the
+    untamed drift is never rescaled.  A stepper passes a bound `peak` on
+    every |coefficient| if it knows one; it does not change the result.
     """
-    seg = grids if isinstance(grids, _Segments) else \
-        _Segments([(coeffs.shape[-1], grids)], coeffs.shape[:-1])
     values = [_synthesize_raw(coeffs[..., cols], k, pad) for cols, k, pad in seg.pads]
     values = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
     limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
@@ -193,19 +184,24 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, grids: int | _Segments,
             q_n /= seg.spread(unit)
             inv_cube = inv_cube / unit
     if tau is None:
-        return q_n if len(seg.modes) == 1 else q_n.copy()
-    # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly;
-    # the plan's buffer is divided into a new array, as the next step reuses it.
-    return np.divide(q_n, seg.spread(seg.row_norms(q_n) * tau + inv_cube),
-                     out=q_n if len(seg.modes) == 1 else None)
+        return q_n.copy()  # the buffer is reused by the next call
+    # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
+    norms = seg.row_norms()
+    if tau < _TAU_LIMIT:
+        return np.divide(q_n, seg.spread(norms * tau + inv_cube))
+    # Where tau ||q_N|| overflows, numerator and denominator are divided by tau.
+    with np.errstate(over="ignore"):
+        denom = norms * tau + inv_cube
+    over = denom == np.inf
+    denom[over] = (norms + inv_cube / tau)[over]
+    return np.divide(q_n, seg.spread(denom)) / seg.spread(np.where(over, tau, 1.0))
 
 
 def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
                           grid_size: int | None = None) -> SpectralField:
     """Galerkin projection of the drift onto the field's modes."""
-    return SpectralField(
-        _drift_raw(params, fld.coeffs, _resolve_grid(params, fld.n_modes, grid_size))
-    )
+    seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
+    return SpectralField(_drift_raw(params, fld.coeffs, seg))
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
@@ -215,5 +211,5 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     The output L2 norm is at most min(||F_N||, 1 / tau), which keeps a
     single explicit step bounded no matter how large the input field is.
     """
-    grid = _resolve_grid(params, fld.n_modes, grid_size)
-    return SpectralField(_drift_raw(params, fld.coeffs, grid, _real("tau", tau, "positive")))
+    seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
+    return SpectralField(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))

@@ -164,8 +164,8 @@ def _synthesize_raw(coeffs: np.ndarray, grid_size: int,
     return _dst1(work)
 
 
-def _analyze_raw(values: np.ndarray, n_modes: int, overwrite: bool = False) -> np.ndarray:
-    spec = _dst1(values, overwrite)[..., :n_modes]
+def _analyze_raw(values: np.ndarray, n_modes: int) -> np.ndarray:
+    spec = _dst1(values)[..., :n_modes]
     spec /= SQRT2 * (values.shape[-1] + 1)
     return spec
 

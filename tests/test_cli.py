@@ -483,6 +483,12 @@ class TestSimulateCommand:
         assert grids[1] == pytest.approx(grids[0], rel=1e-7, abs=1e-8)
         assert np.abs(grids[1][:, 2:]).max() > 0.01
 
+    def test_step_size_beyond_the_norm_range(self, tmp_path):
+        # tau ||q_N|| overflows at this step size; the drift takes the limit
+        # without a RuntimeWarning, which the test configuration makes an error.
+        assert main(["simulate", "--a3=-1e120", "--resolutions", "8", "--horizon", "1e300",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_rejected(self, seed, capsys):
         assert main(["simulate", "--resolutions", "8", "--seed", seed]) == 2

@@ -1,5 +1,6 @@
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestRunConfig:
     def test_rejects_mismatched_horizon(self, double_well):
         with pytest.raises(ValueError):
             small_config(double_well, horizon_T=2.0)
+
+    def test_one_horizon_within_the_tolerance(self, double_well):
+        # A config horizon within 1e-12 of the params' horizon is accepted;
+        # the noise grid and the step sizes must then read the same value.
+        horizon = 1.0 + 5e-13
+        params = replace(double_well, horizon_T=horizon)
+        reports = [strong_error_study(small_config(params, resolutions=(4, 8), ref_resolution=16,
+                                                   samples=3, master_seed=1, horizon_T=h))
+                   for h in (1.0, horizon)]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_rejects_nonfinite_or_nonpositive_horizon(self, double_well, horizon):

@@ -15,7 +15,7 @@ from tamedac import (
     synthesize,
     tamed_drift,
 )
-from tamedac.model import _drift_raw, eval_poly
+from tamedac.model import _drift_raw, _Segments, eval_poly
 from tamedac.spectral import _analyze_raw, _synthesize_raw, phi_factors, semigroup_factors
 
 from oracles import odd_drift_expansion, quadrature_inner, tamed_odd_drift
@@ -250,6 +250,27 @@ class TestTamedDrift:
             assert l2_norm(out) == pytest.approx(1.0 / tau, rel=1e-9)
             assert out.coeffs @ direction == pytest.approx(l2_norm(out), rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [1e200, 1e299])
+    def test_step_size_beyond_the_norm_range(self, tau):
+        # tau ||q_N|| overflows for the first field although its tamed drift,
+        # of norm about 1 / tau, is representable; the second field's stays
+        # finite and keeps the plain formula bit for bit, alone or in a block.
+        params = ModelParams(a3=-1e120, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        coeffs = np.array([1.0, 1.0, -1.0])
+        direction = odd_drift_expansion(coeffs, -1.0, 0.0)
+        direction /= np.linalg.norm(direction)
+        out = tamed_drift(params, SpectralField(coeffs), tau)
+        assert l2_norm(out) == pytest.approx(1.0 / tau, rel=1e-9)
+        assert out.coeffs @ direction == pytest.approx(l2_norm(out), rel=1e-12)
+        small = SpectralField([1e-200, 0.0, 0.0])
+        f_n = nonlinearity_galerkin(params, small).coeffs
+        plain = f_n / (1.0 + tau * np.linalg.norm(f_n))
+        assert tamed_drift(params, small, tau).coeffs.tobytes() == plain.tobytes()
+        block = _drift_raw(params, np.stack([coeffs, small.coeffs]),
+                           _Segments([(3, dealias_grid_size(3))], (2,)), tau)
+        assert block.tobytes() == np.stack([out.coeffs, plain]).tobytes()
+
     @pytest.mark.parametrize("a3,huge", [(-1.0, 1e60), (-1e200, 1e50)])
     def test_block_rows_do_not_depend_on_each_other(self, a3, huge):
         # One row that needs rescaling must leave the ordinary rows of its
@@ -258,7 +279,7 @@ class TestTamedDrift:
                              initial_data=SpectralField([1.0]))
         rows = np.random.default_rng(3).standard_normal((5, 128))
         rows[2] *= huge
-        block = _drift_raw(params, rows, dealias_grid_size(128), 0.01)
+        block = _drift_raw(params, rows, _Segments([(128, dealias_grid_size(128))], (5,)), 0.01)
         for row, got in zip(rows, block):
             alone = tamed_drift(params, SpectralField(row), 0.01).coeffs
             assert got.tobytes() == alone.tobytes()
@@ -278,7 +299,7 @@ class TestTamedDrift:
         rows = np.random.default_rng(6).standard_normal((3, 16)) * amplitude
         k = 4 * 16 - 1
         plain = _analyze_raw(eval_poly(params, _synthesize_raw(rows, k)), 16)
-        assert _drift_raw(params, rows, k).tobytes() == plain.tobytes()
+        assert _drift_raw(params, rows, _Segments([(16, k)], (3,))).tobytes() == plain.tobytes()
 
     def test_moderate_field_strictly_below_bound(self, double_well):
         out = tamed_drift(double_well, SpectralField([3.0, -2.0]), tau=0.5)

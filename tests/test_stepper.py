@@ -453,13 +453,15 @@ class TestSegments:
 class TestDstRoutes:
     """A block steps to the same bits on every route to the DST-I."""
 
-    MODES = (256, 4, 8, 16, 32, 64, 128)
-
-    @pytest.mark.parametrize("in_place", [True, False], ids=["fallback", "copying"])
-    def test_fallback_route_steps_a_block_bit_for_bit(self, in_place, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("in_place, modes", [
+        pytest.param(in_place, modes, id=route + label)
+        for modes, label in (((256, 4, 8, 16, 32, 64, 128), ""), ((256,), "-one-segment"))
+        for in_place, route in ((True, "fallback"), (False, "copying"))])
+    def test_fallback_route_steps_a_block_bit_for_bit(self, in_place, modes, tmp_path,
+                                                      monkeypatch):
         # No extension file under tmp_path, so the route is the public
         # scipy.fft.dst.  It promises no in-place write, and the copying
-        # variant never makes one.
+        # variant never makes one, so the analysis must use the DST's result.
         public = _dst1_route(str(tmp_path))
         calls = []
 
@@ -468,13 +470,13 @@ class TestDstRoutes:
             return public(x if in_place else x.copy(), overwrite)
 
         rng = np.random.default_rng(100)
-        rows = 0.5 * rng.standard_normal((3, sum(self.MODES)))
-        noises = [1e-2 * rng.standard_normal((3, self.MODES[0])) for _ in range(4)]
-        direct = run_block(params_with(), rows, 1 / 64, noises, segments=self.MODES)
+        rows = 0.5 * rng.standard_normal((3, sum(modes)))
+        noises = [1e-2 * rng.standard_normal((3, modes[0])) for _ in range(4)]
+        direct = run_block(params_with(), rows, 1 / 64, noises, segments=modes)
         for module in (spectral, model):
             monkeypatch.setattr(module, "_dst1", route)
-        fallback = run_block(params_with(), rows, 1 / 64, noises, segments=self.MODES)
-        # Every step synthesizes and analyses each of the seven segments.
-        assert calls.count(False) == calls.count(True) == 4 * len(self.MODES)
+        fallback = run_block(params_with(), rows, 1 / 64, noises, segments=modes)
+        # Every step synthesizes and analyses each segment.
+        assert calls.count(False) == calls.count(True) == 4 * len(modes)
         for got, want in zip(fallback[0] + fallback[1], direct[0] + direct[1]):
             assert got.tobytes() == want.tobytes()
