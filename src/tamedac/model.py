@@ -2,15 +2,16 @@
 
 The drift is the Nemytskii operator of the polynomial
 f(v) = a3 v^3 + a2 v^2 + a1 v + a0 with a3 < 0.  Its Galerkin projection is
-computed pseudospectrally: synthesize on a dealiased grid, apply f
-pointwise, project back.  For a2 = a0 = 0 the result is the exact
+computed pseudospectrally on the midpoint grid x_k = (k - 1/2) / K:
+synthesize by a DST-III, apply f pointwise, project back by a DST-II, each
+a real FFT of length K.  For a2 = a0 = 0 the result is the exact
 projection (up to roundoff) because the cube of an N-mode sine polynomial
-is itself a sine polynomial of degree at most 3N, whose modes 1..N a DST-I
-on K >= 2N points recovers without aliasing; such drifts default to the
-exact grid of :func:`dealias_grid_size`.  A nonzero a2 or a0 adds even
-content whose sine projection is only quadrature-accurate on any grid;
-those drifts default to 4N - 1 points, where that quadrature error is
-several times smaller than on the exact grid.
+is itself a sine polynomial of degree at most 3N, and on K > 2N midpoints
+no mode up to 3N folds onto modes 1..N; such drifts default to the exact
+grid of :func:`dealias_grid_size`.  A nonzero a2 or a0 adds even content
+whose sine projection is only quadrature-accurate on any grid; those
+drifts default to the smallest 5-smooth K >= 4N, where that quadrature
+error is several times smaller than on the exact grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BlowupError, ResolutionError, _integer, _real
-from .spectral import SQRT2, SpectralField, _dst1, _synthesize_raw, dealias_grid_size
+from .spectral import SQRT2, SpectralField, _dst, _smooth_size, dealias_grid_size
 
 # Grid amplitudes beyond this, divided by |a3|^(1/3) when |a3| > 1, are
 # cubed in rescaled arithmetic.  The rescaled cubic then stays below 1e120,
@@ -72,7 +73,8 @@ def eval_poly(params: ModelParams, v):
 
 class _Segments:
     """Column layout of a block of (N_j, K_j) resolution segments, and the drift's
-    workspace for `rows` of them: synthesis inputs, the analysed drift and its norms."""
+    workspace for `rows` of them: synthesis inputs, the analysed drift and its norms.
+    Segment j is sampled on the K_j midpoints x_k = (k - 1/2) / K_j."""
 
     def __init__(self, pairs: list[tuple[int, int]], rows: tuple[int, ...] = ()):
         self.modes, self.sizes = (tuple(v) for v in zip(*pairs))
@@ -80,9 +82,10 @@ class _Segments:
         self.cols = tuple(slice(a, a + n) for a, n in zip(self.starts, self.modes))
         self.grids = tuple(slice(a, a + k) for a, k in zip(self.grid_starts, self.sizes))
         work = np.zeros(rows + (sum(self.sizes),))
-        self.pads = [(cols, k, work[..., grid])
-                     for cols, k, grid in zip(self.cols, self.sizes, self.grids)]
-        self.divisor = self.spread(SQRT2 * np.add(self.sizes, 1.0))
+        pads = [work[..., grid] for grid in self.grids]
+        # Each segment's zero-padded synthesis input, with its first N_j columns.
+        self.pads = [(cols, pad[..., :n], pad) for cols, n, pad in zip(self.cols, self.modes, pads)]
+        self.divisor = self.spread(SQRT2 * np.array(self.sizes, dtype=np.float64))
         self.drift = np.empty(rows + (sum(self.modes),))
         self.norms = np.empty(rows + (len(self.modes),))
         self.products = [(self.drift[..., None, c], self.drift[..., c, None],
@@ -96,14 +99,23 @@ class _Segments:
         """Per-segment values (..., J) over their segments' columns."""
         return x if len(self.modes) == 1 else np.repeat(x, self.modes, axis=-1)
 
+    def synthesized(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values of every segment of `coeffs` on its midpoint grid, side by side in a
+        new array: the DST-III of its zero-padded c / sqrt(2)."""
+        values = []
+        for cols, head, pad in self.pads:
+            np.divide(coeffs[..., cols], SQRT2, out=head)
+            values.append(_dst(pad, 3))
+        return values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
+
     def analysed(self, q: np.ndarray) -> np.ndarray:
-        """Each segment's first N_j analysed modes of the grid values `q` (which it
-        overwrites), in the drift buffer."""
+        """Each segment's first N_j analysed modes of the midpoint values `q` (which
+        it overwrites), in the drift buffer: its DST-II divided by sqrt(2) K_j."""
         if len(self.modes) == 1:
-            q = _dst1(q, True)[..., : self.modes[0]]  # the result, in place or not
+            q = _dst(q, 2, True)[..., : self.modes[0]]  # the result, in place or not
         else:
             for grid in self.grids:
-                q[..., grid] = _dst1(q[..., grid], True)  # no copy where it ran in place
+                q[..., grid] = _dst(q[..., grid], 2, True)  # no copy where it ran in place
             q = np.take(q, self.gather, axis=-1, out=self.drift, mode="clip")
         return np.divide(q, self.divisor, out=self.drift)
 
@@ -128,10 +140,10 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     if grid_size is None:
         if params.a2 == 0 and params.a0 == 0:
             return dealias_grid_size(n_modes)
-        return 4 * n_modes - 1
-    if _integer("grid_size", grid_size, 1) < 2 * n_modes:
+        return _smooth_size(4 * n_modes)
+    if _integer("grid_size", grid_size, 1) <= 2 * n_modes:
         raise ResolutionError(
-            f"dealiasing grid must have at least {2 * n_modes} points, got {grid_size}"
+            f"dealiasing grid must have at least {2 * n_modes + 1} points, got {grid_size}"
         )
     return grid_size
 
@@ -149,8 +161,7 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
     untamed drift is never rescaled.  A stepper passes a bound `peak` on
     every |coefficient| if it knows one; it does not change the result.
     """
-    values = [_synthesize_raw(coeffs[..., cols], k, pad) for cols, k, pad in seg.pads]
-    values = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
+    values = seg.synthesized(coeffs)
     limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
     # Block-wide maxima decide the common case in a few calls; written as a
     # negated <= so that NaN takes the checked branch.  No grid value exceeds
@@ -201,7 +212,7 @@ def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
                           grid_size: int | None = None) -> SpectralField:
     """Galerkin projection of the drift onto the field's modes."""
     seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
-    return SpectralField(_drift_raw(params, fld.coeffs, seg))
+    return SpectralField._own(_drift_raw(params, fld.coeffs, seg))
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
@@ -212,4 +223,4 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     single explicit step bounded no matter how large the input field is.
     """
     seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
-    return SpectralField(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))
+    return SpectralField._own(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))

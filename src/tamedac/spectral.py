@@ -8,9 +8,11 @@ forward and inverse transforms between the two are type-I discrete sine
 transforms; the quadrature weight 1 / (K + 1) makes :func:`analyze` exact
 for any sine polynomial of degree at most K.  The raw transform helpers
 act along the last axis, so a block of fields, one per row, is transformed
-in one call.
+in one call.  The drift's quadrature (``model``) uses the midpoint grid
+x_k = (k - 1/2) / K instead, where synthesis is a DST-III and analysis a
+DST-II, both real FFTs of length K rather than the DST-I's 2 (K + 1).
 
-The DST-I is scipy's pocketfft extension, loaded straight from its file
+The DSTs are scipy's pocketfft extension, loaded straight from its file
 under scipy's install directory (found without importing scipy), so that
 importing this module does not run the ``scipy.fft`` package, whose array-API
 and special-function imports take most of the command line's start-up time.
@@ -36,7 +38,11 @@ SQRT2 = np.sqrt(2.0)
 
 
 def _as_readonly_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    return _readonly_vector(np.array(values, dtype=np.float64, copy=True), name)
+
+
+def _readonly_vector(arr: np.ndarray, name: str) -> np.ndarray:
+    """`arr` itself, checked and made read-only."""
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(arr)):
@@ -53,6 +59,14 @@ class SpectralField:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_readonly_vector(self.coeffs, "coeffs"))
+
+    @classmethod
+    def _own(cls, coeffs: np.ndarray) -> "SpectralField":
+        """A field holding the fresh float64 array `coeffs` itself, not a copy;
+        the caller keeps no other reference to it."""
+        fld = object.__new__(cls)
+        object.__setattr__(fld, "coeffs", _readonly_vector(coeffs, "coeffs"))
+        return fld
 
     @property
     def n_modes(self) -> int:
@@ -130,11 +144,11 @@ def _pocketfft_dst(scipy_dir: str):
     return None
 
 
-def _dst1_route(scipy_dir: str):
-    """A function giving the DST-I of a float64 array along its last axis, in
-    place if `overwrite`: a direct call of the pocketfft extension under
-    `scipy_dir` or, if that file is not there, the public ``scipy.fft.dst``,
-    which makes the same pocketfft call.
+def _dst_route(scipy_dir: str):
+    """A function giving the DST of type 1, 2 or 3 of a float64 array along its
+    last axis, in place if `overwrite`: a direct call of the pocketfft
+    extension under `scipy_dir` or, if that file is not there, the public
+    ``scipy.fft.dst``, which makes the same pocketfft call.
 
     The direct call skips the argument handling and backend dispatch that
     make the public route about five times as slow at the small grids of
@@ -144,28 +158,26 @@ def _dst1_route(scipy_dir: str):
     if dst is None:
         from scipy.fft import dst as public_dst
 
-        def dst1(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
-            return public_dst(x, type=1, axis=-1, overwrite_x=overwrite)
+        def route(x: np.ndarray, kind: int, overwrite: bool = False) -> np.ndarray:
+            return public_dst(x, type=kind, axis=-1, overwrite_x=overwrite)
     else:
-        def dst1(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
-            return dst(x, 1, (-1,), 0, x if overwrite else None, 1)
-    return dst1
+        def route(x: np.ndarray, kind: int, overwrite: bool = False) -> np.ndarray:
+            return dst(x, kind, (-1,), 0, x if overwrite else None, 1)
+    return route
 
 
-_dst1 = _dst1_route(find_spec("scipy").submodule_search_locations[0])
+_dst = _dst_route(find_spec("scipy").submodule_search_locations[0])
 
 
-def _synthesize_raw(coeffs: np.ndarray, grid_size: int,
-                    work: np.ndarray | None = None) -> np.ndarray:
-    """Grid values of every row; `work` is a reusable zero-padded input buffer."""
-    if work is None:
-        work = np.zeros(coeffs.shape[:-1] + (grid_size,))
+def _synthesize_raw(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """Interior grid values of every row, by a DST-I of the zero-padded c / sqrt(2)."""
+    work = np.zeros(coeffs.shape[:-1] + (grid_size,))
     np.divide(coeffs, SQRT2, out=work[..., : coeffs.shape[-1]])
-    return _dst1(work)
+    return _dst(work, 1)
 
 
 def _analyze_raw(values: np.ndarray, n_modes: int) -> np.ndarray:
-    spec = _dst1(values)[..., :n_modes]
+    spec = _dst(values, 1)[..., :n_modes]
     spec /= SQRT2 * (values.shape[-1] + 1)
     return spec
 
@@ -240,14 +252,26 @@ def sup_norm_estimate(fld: SpectralField, grid_size: int | None = None) -> float
     return float(_sup_norms(fld.coeffs, grid_size))
 
 
-def dealias_grid_size(n_modes: int) -> int:
-    """Grid size on which the cubic of an N-mode field projects exactly.
+def _smooth_size(least: int) -> int:
+    """Smallest 2^a 3^b 5^c >= least: a length pocketfft transforms fast."""
+    best, p35 = 1 << (least - 1).bit_length(), 1
+    while p35 < best:
+        p = p35
+        while p < best:
+            best = min(best, p << (-(-least // p) - 1).bit_length())
+            p *= 3
+        p35 *= 5
+    return best
 
-    The cube of an N-mode sine polynomial reaches mode 3N, and a DST-I on K
-    points folds mode m onto 2 (K + 1) - m, so modes 1..N stay exact if and
-    only if K + 1 > 2 N (the sine-basis form of Orszag's anti-aliasing rule).
-    K = 5 ceil(N / 2) - 1 meets that bound with an FFT length
-    2 (K + 1) = 5 * 2 ceil(N / 2), which is smooth for dyadic mode counts;
-    K = 2 N itself can give an FFT length with a large prime factor.
+
+def dealias_grid_size(n_modes: int) -> int:
+    """Midpoint grid size K on which the drift's cubic projects exactly.
+
+    The cube of an N-mode sine polynomial reaches mode 3N.  On the midpoint
+    grid x_k = (k - 1/2) / K, mode 2K - m takes the values of mode m, so
+    modes 1..N stay exact if and only if 2K - N > 3N, that is K > 2N (the
+    sine-basis form of Orszag's anti-aliasing rule).  K is the smallest
+    5-smooth size above 2N, so the DST-II and DST-III of that length run as
+    fast real FFTs (2160 at N = 1024).
     """
-    return 5 * ((_integer("n_modes", n_modes, 1) + 1) // 2) - 1
+    return _smooth_size(2 * _integer("n_modes", n_modes, 1) + 1)

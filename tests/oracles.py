@@ -47,6 +47,28 @@ def odd_drift_expansion(coeffs: np.ndarray, a3: float, a1: float) -> np.ndarray:
     return full[: coeffs.shape[0]]
 
 
+def even_drift_projection(coeffs: np.ndarray, a2: float, a0: float) -> np.ndarray:
+    """Exact Galerkin projection of a2 v^2 + a0 onto modes 1..N, v = sum c_i e_i.
+
+    2 sin A sin B = cos(A - B) - cos(A + B) writes v^2 as a cosine series
+    sum_m d_m cos(m pi x), m = 0..2N, and the integral of cos(m pi x) e_i(x)
+    over (0, 1) is 2 sqrt(2) i / (pi (i^2 - m^2)) for odd i + m, else 0.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n = coeffs.shape[0]
+    idx = np.arange(1, n + 1)
+    a, b = np.meshgrid(idx, idx, indexing="ij")
+    w = np.outer(coeffs, coeffs).ravel()
+    cosine = a2 * (np.bincount(np.abs(a - b).ravel(), weights=w, minlength=2 * n + 1)
+                   - np.bincount((a + b).ravel(), weights=w, minlength=2 * n + 1))
+    cosine[0] += a0
+    i, m = idx[:, None], np.arange(2 * n + 1)[None, :]
+    odd = (i + m) % 2 == 1
+    weights = np.where(odd, 2 * math.sqrt(2) * i / (math.pi * np.where(odd, i * i - m * m, 1)),
+                       0.0)
+    return weights @ cosine
+
+
 def tamed_odd_drift(direction: np.ndarray, amplitude: float, a3: float, a1: float,
                     tau: float) -> np.ndarray:
     """Exact F_N / (1 + tau ||F_N||) for the field amplitude * direction.

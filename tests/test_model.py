@@ -16,9 +16,14 @@ from tamedac import (
     tamed_drift,
 )
 from tamedac.model import _drift_raw, _Segments, eval_poly
-from tamedac.spectral import _analyze_raw, _synthesize_raw, phi_factors, semigroup_factors
+from tamedac.spectral import SQRT2, _dst, phi_factors, semigroup_factors
 
-from oracles import odd_drift_expansion, quadrature_inner, tamed_odd_drift
+from oracles import (
+    even_drift_projection,
+    odd_drift_expansion,
+    quadrature_inner,
+    tamed_odd_drift,
+)
 
 INV_SQRT2 = 0.7071067811865476
 QUARTER_INV_SQRT2 = 0.17677669529663687   # 1 / (4 sqrt 2)
@@ -111,8 +116,17 @@ class TestNonlinearityGalerkin:
             nonlinearity_galerkin(double_well, SpectralField.zeros(8), grid_size=15)
 
 
+def midpoint_drift(params, coeffs, k):
+    """The drift's quadrature on K midpoints from the raw DSTs: a DST-III of
+    the zero-padded c / sqrt(2), f pointwise, a DST-II divided by sqrt(2) K."""
+    n = coeffs.shape[-1]
+    pad = np.zeros(coeffs.shape[:-1] + (k,))
+    pad[..., :n] = coeffs / SQRT2
+    return _dst(eval_poly(params, _dst(pad, 3)), 2)[..., :n] / (SQRT2 * k)
+
+
 class TestDealiasingBound:
-    """A DST-I on K points keeps modes 1..N of the cubic exact iff K + 1 > 2N."""
+    """On K midpoints, modes 1..N of the cubic are exact iff K > 2N."""
 
     @staticmethod
     def odd_problem(seed):
@@ -128,32 +142,34 @@ class TestDealiasingBound:
         coeffs = rng.standard_normal(n) * 0.8
         expected = odd_drift_expansion(coeffs, params.a3, params.a1)
         scale = np.max(np.abs(expected))
-        for grid_size in (2 * n, None):
+        for grid_size in (2 * n + 1, None):
             out = nonlinearity_galerkin(params, SpectralField(coeffs), grid_size=grid_size)
             assert np.max(np.abs(out.coeffs - expected)) <= 1e-11 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
     def test_aliases_below_bound(self, n):
-        # At K + 1 = 2N mode 3N folds onto mode N, so a nonzero top mode
-        # corrupts the projection; the library refuses that grid.
+        # At K = 2N mode 3N folds onto mode 2K - 3N = N, so a nonzero top
+        # mode corrupts the projection; the library refuses that grid.  One
+        # midpoint more makes the same quadrature exact.
         params, rng = self.odd_problem(100 + n)
         coeffs = rng.standard_normal(n) * 0.8
         coeffs[-1] = 1.0
-        k = 2 * n - 1
-        values = synthesize(SpectralField(coeffs), k).values
-        aliased = analyze(GridField(eval_poly(params, values)), n).coeffs
+        k = 2 * n
         expected = odd_drift_expansion(coeffs, params.a3, params.a1)
-        assert np.max(np.abs(aliased - expected)) > 1e-6
-        with pytest.raises(ValueError):
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(midpoint_drift(params, coeffs, k) - expected)) > 1e-6
+        assert np.max(np.abs(midpoint_drift(params, coeffs, k + 1) - expected)) <= 1e-11 * scale
+        with pytest.raises(ValueError, match=f"at least {k + 1} points, got {k}"):
             nonlinearity_galerkin(params, SpectralField(coeffs), grid_size=k)
 
 
 def test_even_content_keeps_wide_grid():
-    # Drifts with a2 or a0 nonzero default to K = 4N - 1, bit for bit.
+    # Drifts with a2 or a0 nonzero default to the smallest 5-smooth K >= 4N
+    # (64 at N = 16), bit for bit.
     params = ModelParams(a3=-1.0, a2=0.8, a1=1.0, a0=0.3, horizon_T=1.0,
                          initial_data=SpectralField([0.5, -0.2, 0.1]))
     n = 16
-    k = 4 * n - 1
+    k = 64
     fld = SpectralField(np.random.default_rng(4).standard_normal(n) * 0.5)
     assert (nonlinearity_galerkin(params, fld).coeffs.tobytes()
             == nonlinearity_galerkin(params, fld, grid_size=k).coeffs.tobytes())
@@ -170,6 +186,23 @@ def test_even_content_keeps_wide_grid():
     explicit += noise[0]
     assert stepped.tobytes() == explicit.tobytes()
 
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_even_content_default_grid_beats_interior_quadrature(n):
+    # Against the exact projection, the default midpoint grid's quadrature
+    # error is well below that of the interior-grid DST-I rule on 4N - 1
+    # points, the default for such drifts before the midpoint grid.
+    params = ModelParams(a3=-1.0, a2=0.8, a1=1.0, a0=0.3, horizon_T=1.0,
+                         initial_data=SpectralField([1.0]))
+    coeffs = np.random.default_rng(n).standard_normal(n) / np.arange(1, n + 1)
+    exact = (odd_drift_expansion(coeffs, params.a3, params.a1)
+             + even_drift_projection(coeffs, params.a2, params.a0))
+    fld = SpectralField(coeffs)
+    midpoint = nonlinearity_galerkin(params, fld).coeffs
+    values = synthesize(fld, 4 * n - 1).values
+    interior = analyze(GridField(eval_poly(params, values)), n).coeffs
+    assert np.linalg.norm(midpoint - exact) <= 0.6 * np.linalg.norm(interior - exact)
 
 class TestTamedDrift:
     def test_zero_drift_passes_through(self, double_well):
@@ -297,8 +330,8 @@ class TestTamedDrift:
         params = ModelParams(a3=-1.0, a2=0.5, a1=1.0, a0=0.0, horizon_T=1.0,
                              initial_data=SpectralField([1.0]))
         rows = np.random.default_rng(6).standard_normal((3, 16)) * amplitude
-        k = 4 * 16 - 1
-        plain = _analyze_raw(eval_poly(params, _synthesize_raw(rows, k)), 16)
+        k = 64
+        plain = midpoint_drift(params, rows, k)
         assert _drift_raw(params, rows, _Segments([(16, k)], (3,))).tobytes() == plain.tobytes()
 
     def test_moderate_field_strictly_below_bound(self, double_well):

@@ -26,8 +26,8 @@ from tamedac import (
 )
 from tamedac.errors import ResolutionError
 from tamedac.spectral import (
-    _dst1,
-    _dst1_route,
+    _dst,
+    _dst_route,
     _pocketfft_dst,
     _row_norms,
     _sup_norms,
@@ -206,12 +206,15 @@ def run_fresh(code: str) -> str:
 
 
 DST_SIZES = [1, 2, 9, 39, 319, 2559]
+# Midpoint grids of the drift: dealias_grid_size(n) for n = 1, 16, 128, 1024,
+# the even-content grid of n = 16, and a size with a large prime factor.
+MIDPOINT_SIZES = [3, 36, 64, 270, 2160, 2 * 1031]
 
 
 @pytest.fixture(scope="module")
-def public_dst1(tmp_path_factory):
+def public_dst(tmp_path_factory):
     """The fallback route, as taken when the extension file is not found."""
-    return _dst1_route(str(tmp_path_factory.mktemp("no_scipy")))
+    return _dst_route(str(tmp_path_factory.mktemp("no_scipy")))
 
 
 class TestDst1:
@@ -224,16 +227,28 @@ class TestDst1:
     def test_equals_public_scipy_dst(self, k, rows):
         x = np.random.default_rng(k).standard_normal((rows, k))
         expected = dst(x, type=1)
-        assert np.array_equal(_dst1(x), expected)
-        assert np.array_equal(_dst1(x, overwrite=True), expected)
+        assert np.array_equal(_dst(x, 1), expected)
+        assert np.array_equal(_dst(x, 1, overwrite=True), expected)
 
     @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("k", DST_SIZES)
-    def test_fallback_equals_direct_route(self, public_dst1, k, rows, overwrite):
+    def test_fallback_equals_direct_route(self, public_dst, k, rows, overwrite):
         x = np.random.default_rng(k + rows).standard_normal((rows, k))
-        direct = _dst1(x.copy(), overwrite)
-        assert np.array_equal(public_dst1(x.copy(), overwrite), direct)
+        direct = _dst(x.copy(), 1, overwrite)
+        assert np.array_equal(public_dst(x.copy(), 1, overwrite), direct)
+
+    @pytest.mark.parametrize("kind", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("k", MIDPOINT_SIZES)
+    def test_midpoint_types_on_every_route(self, public_dst, k, rows, kind):
+        # The drift's DST-II and DST-III, direct or fallback, in place or
+        # not, give the public scipy.fft.dst bit for bit.
+        x = np.random.default_rng(k + rows + kind).standard_normal((rows, k))
+        expected = dst(x, type=kind)
+        for route in (_dst, public_dst):
+            for overwrite in (False, True):
+                assert np.array_equal(route(x.copy(), kind, overwrite), expected)
 
     def test_converge_never_imports_scipy_fft(self):
         out = run_fresh(
@@ -250,10 +265,10 @@ class TestDst1:
     def test_scipy_fft_imports_after_tamedac(self):
         out = run_fresh(
             "import numpy as np\n"
-            "from tamedac.spectral import _dst1\n"
+            "from tamedac.spectral import _dst\n"
             "import scipy.fft\n"
             "x = np.random.default_rng(5).standard_normal((3, 39))\n"
-            "print(np.array_equal(scipy.fft.dst(x, type=1), _dst1(x)),\n"
+            "print(np.array_equal(scipy.fft.dst(x, type=1), _dst(x, 1)),\n"
             "      np.allclose(scipy.fft.idst(scipy.fft.dst(x, type=1), type=1), x))\n"
         )
         assert out.split() == ["True", "True"]
@@ -349,13 +364,29 @@ class TestFieldTypes:
         src[0] = 9.0
         assert fld.coeffs[0] == 1.0
 
+    def test_owned_array_is_checked_not_copied(self):
+        # The library's private path for arrays it has just computed.
+        fresh = np.array([1.0, 2.0])
+        fld = SpectralField._own(fresh)
+        assert fld.coeffs is fresh and not fresh.flags.writeable
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            SpectralField._own(np.array([1.0, np.nan]))
+
+
+def five_smooth(k: int) -> bool:
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
 
 def test_dealias_grid_size():
-    # Exact for the cubic (K + 1 > 2N) with a smooth FFT length 2 (K + 1).
+    # The smallest 5-smooth midpoint grid on which the cubic is exact (K > 2N).
     for n in range(1, 2049):
         k = dealias_grid_size(n)
-        assert k + 1 > 2 * n
-        assert 2 * (k + 1) == 5 * 2 * -(-n // 2)
-    assert dealias_grid_size(16) == 39
-    assert dealias_grid_size(1) == 4
-    assert dealias_grid_size(3) == 9
+        assert k > 2 * n and five_smooth(k)
+        assert not any(five_smooth(j) for j in range(2 * n + 1, k))
+    assert dealias_grid_size(1024) == 2160
+    assert dealias_grid_size(16) == 36
+    assert dealias_grid_size(1) == 3
+    assert dealias_grid_size(3) == 8

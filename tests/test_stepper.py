@@ -15,7 +15,7 @@ from tamedac import model, spectral
 from tamedac.errors import BlowupError
 from tamedac.model import _SCALE_LIMIT
 from tamedac.noise import IncrementStream
-from tamedac.spectral import _dst1_route, phi_factors, semigroup_factors
+from tamedac.spectral import _dst_route, phi_factors, semigroup_factors
 from tamedac.stepper import PathBlock
 
 from oracles import odd_drift_expansion, tamed_odd_drift
@@ -451,7 +451,7 @@ class TestSegments:
 
 
 class TestDstRoutes:
-    """A block steps to the same bits on every route to the DST-I."""
+    """A block steps to the same bits on every route to the DSTs."""
 
     @pytest.mark.parametrize("in_place, modes", [
         pytest.param(in_place, modes, id=route + label)
@@ -462,21 +462,23 @@ class TestDstRoutes:
         # No extension file under tmp_path, so the route is the public
         # scipy.fft.dst.  It promises no in-place write, and the copying
         # variant never makes one, so the analysis must use the DST's result.
-        public = _dst1_route(str(tmp_path))
+        public = _dst_route(str(tmp_path))
         calls = []
 
-        def route(x, overwrite=False):
-            calls.append(overwrite)
-            return public(x if in_place else x.copy(), overwrite)
+        def route(x, kind, overwrite=False):
+            calls.append((kind, overwrite))
+            return public(x if in_place else x.copy(), kind, overwrite)
 
         rng = np.random.default_rng(100)
         rows = 0.5 * rng.standard_normal((3, sum(modes)))
         noises = [1e-2 * rng.standard_normal((3, modes[0])) for _ in range(4)]
         direct = run_block(params_with(), rows, 1 / 64, noises, segments=modes)
         for module in (spectral, model):
-            monkeypatch.setattr(module, "_dst1", route)
+            monkeypatch.setattr(module, "_dst", route)
         fallback = run_block(params_with(), rows, 1 / 64, noises, segments=modes)
-        # Every step synthesizes and analyses each segment.
-        assert calls.count(False) == calls.count(True) == 4 * len(modes)
+        # Every step synthesizes each segment by a DST-III and analyses it
+        # by an in-place DST-II.
+        assert calls.count((3, False)) == calls.count((2, True)) == 4 * len(modes)
+        assert len(calls) == 8 * len(modes)
         for got, want in zip(fallback[0] + fallback[1], direct[0] + direct[1]):
             assert got.tobytes() == want.tobytes()
