@@ -61,13 +61,18 @@ class ModelParams:
 
 
 def eval_poly(params: ModelParams, v):
-    """Evaluate f pointwise by Horner's rule, in one new array; accepts scalars or arrays."""
+    """Evaluate f pointwise by Horner's rule, in one new array; accepts scalars or arrays.
+
+    A zero a2 or a0 (the double well's) is not added: x + 0.0 is x but for
+    the sign of a zero."""
     q = v * params.a3
-    q += params.a2
+    if params.a2:
+        q += params.a2
     q *= v
     q += params.a1
     q *= v
-    q += params.a0
+    if params.a0:
+        q += params.a0
     return q
 
 

@@ -14,11 +14,14 @@ Coarse increments are derived from fine ones exactly: splitting
     conv[t_a, t_b] = sum_k exp(-lambda (t_b - t_{k+1})) * conv[t_k, t_{k+1}],
 
 an identity of the integral, not an approximation.  :class:`Coarsener` is
-the one implementation of that sum: it takes the fine increments one fine
-step at a time, in time order, whether they are streamed
-(:class:`IncrementStream`, as the strong-error study does) or read from a
-materialized matrix (:meth:`NoiseRealization.increments`), so both give the
-same values bit for bit.
+the one implementation of that sum: it takes the fine increments a chunk
+of consecutive fine steps at a time, in time order, weighs a chunk in one
+operation and adds its rows onto the running sum one after another.  The
+strong-error study draws its noise in such chunks
+(:class:`IncrementStream`); :meth:`NoiseRealization.increments` feeds
+whole coarse intervals of a materialized matrix.  A sum is the same
+sequence of additions however its substeps are chunked, so both routes
+give the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class NormalStream:
 
 
 class IncrementStream:
-    """Fine increments of a block of samples, one fine step at a time.
+    """Fine increments of a block of samples, a chunk of fine steps at a time.
 
     Row r of ``at(m)`` equals row m of the ``fine_matrix`` of sample
     ``sample_indices[r]`` bit for bit, without materializing that
@@ -139,41 +142,83 @@ class IncrementStream:
         self.grid = grid
         self._sigma = np.sqrt(increment_variances(grid.n_modes, grid.tau_fine))
         self._streams = [NormalStream(master_seed, s) for s in sample_indices]
+        self._buffer = np.empty((0, len(self._streams), grid.n_modes))
 
-    def at(self, fine_step_index: int) -> np.ndarray:
-        """Increments over fine step `fine_step_index`, shape (S, n_modes)."""
-        out = np.empty((len(self._streams), self.grid.n_modes))
-        for row, stream in zip(out, self._streams):
-            stream.normals(fine_step_index, self.grid.n_modes, out=row)
+    def chunk(self, first: int, count: int) -> np.ndarray:
+        """Increments over fine steps first .. first + count - 1, shape
+        (count, S, n_modes), in a buffer that the next draw overwrites."""
+        m_fine = self.grid.m_fine
+        if first < 0 or first + count > m_fine:
+            raise ValueError(
+                f"step {first if first < 0 else max(first, m_fine)} outside grid with {m_fine} steps"
+            )
+        if len(self._buffer) < count:
+            self._buffer = np.empty((count,) + self._buffer.shape[1:])
+        out = self._buffer[:count]
+        for step, rows in enumerate(out, first):
+            for row, stream in zip(rows, self._streams):
+                stream.normals(step, self.grid.n_modes, out=row)
         out *= self._sigma
         return out
+
+    def at(self, fine_step_index: int) -> np.ndarray:
+        """Increments over fine step `fine_step_index`, shape (S, n_modes), in
+        the buffer of :meth:`chunk`."""
+        return self.chunk(fine_step_index, 1)[0]
 
 
 class Coarsener:
     """Exact coarse increments of an (n_modes, n_steps) path from fine ones.
 
-    Feed the fine increments of every fine step in order; each time a
-    coarse interval closes, :meth:`push` returns its increments, the
-    substeps summed in time order.
+    Feed the fine increments of every fine step in time order, one step
+    (:meth:`push`) or a chunk of steps inside one coarse interval
+    (:meth:`push_chunk`) at a time; each time a coarse interval closes, the
+    call returns its increments, the substeps summed in time order.
     """
 
     def __init__(self, grid: NoiseGrid, n_modes: int, n_steps: int):
         self.n_modes = n_modes
-        self._sub = _substeps(grid, n_modes, n_steps)
-        self._weights = convolution_weights(eigenvalues(n_modes), self._sub, grid.tau_fine)
+        self.substeps = _substeps(grid, n_modes, n_steps)
+        self._weights = convolution_weights(eigenvalues(n_modes), self.substeps, grid.tau_fine)
+        self._m_fine = grid.m_fine
+        self._next = 0  # the fine step the next chunk must start at
         self._acc = None
 
     def push(self, fine_step_index: int, fine: np.ndarray) -> np.ndarray | None:
         """Take the fine increments (..., >= n_modes) of one fine step."""
-        if self._sub == 1:
-            return fine[..., : self.n_modes]  # its one weight is exp(0) = 1 exactly
-        j = fine_step_index % self._sub
-        part = self._weights[j] * fine[..., : self.n_modes]
-        if j == 0:
-            self._acc = part
-        else:
-            self._acc += part
-        return self._acc if j == self._sub - 1 else None
+        return self.push_chunk(fine_step_index, fine[None])
+
+    def push_chunk(self, first: int, fine: np.ndarray) -> np.ndarray | None:
+        """Take the fine increments (C, ..., >= n_modes) of the C fine steps
+        from `first` on, which must lie in one coarse interval."""
+        count = len(fine)
+        if first != self._next:
+            raise ValueError(f"expected fine step {self._next}, got {first}")
+        j = first % self.substeps
+        if j + count > self.substeps:
+            raise ValueError(f"fine steps {first} to {first + count - 1} cross the end "
+                             f"of a coarse interval of {self.substeps}")
+        self._next = (first + count) % self._m_fine  # a full pass starts the next at 0
+        if self.substeps == 1:
+            return fine[0, ..., : self.n_modes]  # its one weight is exp(0) = 1 exactly
+        weights = self._weights[j : j + count]
+        part = weights.reshape((count,) + (1,) * (fine.ndim - 2) + (self.n_modes,)) \
+            * fine[..., : self.n_modes]
+        if j:
+            part[0] += self._acc
+        self._acc = _time_sum(part)
+        return self._acc if j + count == self.substeps else None
+
+
+def _time_sum(part: np.ndarray) -> np.ndarray:
+    """The rows of `part` summed in time order, ((p0 + p1) + p2) + ...
+
+    np.add.reduce over the leading axis adds whole rows in that order, but
+    rows of one element it sums pairwise, so those are accumulated instead.
+    """
+    if part[0].size == 1:
+        return np.add.accumulate(part, axis=0)[-1]
+    return np.add.reduce(part, axis=0)
 
 
 def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
@@ -210,9 +255,9 @@ class NoiseRealization:
     The full (m_fine, n_modes) increment matrix is materialized lazily and
     reused by every resolution that shares the sample: the per-sample
     reference route.  The studies and ``coupled_terminal`` draw the same
-    values one fine step at a time instead (:class:`IncrementStream`); both
-    coarsen through :class:`Coarsener`, so both give the same paths bit for
-    bit.
+    values a chunk of fine steps at a time instead (:class:`IncrementStream`);
+    both coarsen through :class:`Coarsener`, so both give the same paths bit
+    for bit.
     """
 
     def __init__(self, grid: NoiseGrid, master_seed: int, sample_index: int):
@@ -234,12 +279,10 @@ class NoiseRealization:
     def increments(self, n_modes: int, n_steps: int) -> np.ndarray:
         """Increment matrix for a path at (n_modes, n_steps), shape (M, N)."""
         coarsener = Coarsener(self.grid, n_modes, n_steps)
+        sub, fine = coarsener.substeps, self.fine_matrix
         out = np.empty((n_steps, n_modes))
-        rows = iter(out)
-        for m, fine in enumerate(self.fine_matrix):
-            coarse = coarsener.push(m, fine)
-            if coarse is not None:
-                next(rows)[:] = coarse
+        for k in range(n_steps):
+            out[k] = coarsener.push_chunk(k * sub, fine[k * sub : (k + 1) * sub])
         return out
 
 

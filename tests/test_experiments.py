@@ -183,6 +183,35 @@ class TestCoupling:
                                sample_index=sample).terminal.coeffs
         assert engine.tobytes() == matrix.tobytes()
 
+    @pytest.mark.parametrize("mode, resolutions, ref, chunk", [
+        ("joint", (3, 4), 12, 1),          # substep counts 4 and 3: gcd 1
+        ("temporal", (3, 4), 12, 1),
+        ("temporal", (8, 16), 256, 8),     # substep counts 32 and 16: gcd above the cap
+        ("spatial", (4, 8), 64, 8),        # every rung at the reference step size
+    ])
+    def test_chunked_terminals_equal_matrix_route(self, double_well, monkeypatch, mode,
+                                                  resolutions, ref, chunk):
+        counts = set()
+        draw = experiments.IncrementStream.chunk
+
+        def recorded(stream, first, count):
+            counts.add(count)
+            return draw(stream, first, count)
+
+        monkeypatch.setattr(experiments.IncrementStream, "chunk", recorded)
+        grid = NoiseGrid.for_horizon(1.0, ref, ref)
+        pairs = [(ref, ref)] + [resolution_pair(mode, r, ref) for r in resolutions]
+        samples = range(2, 5)
+        engine = experiments._coupled_terminals(double_well, grid, 3, samples, pairs)
+        assert counts == {chunk}
+        for row, s in enumerate(samples):
+            realization = NoiseRealization(grid, 3, s)
+            for (n_modes, n_steps), terminals in zip(pairs, engine):
+                inc = realization.increments(n_modes, n_steps)
+                matrix = simulate_path(double_well, n_modes, n_steps, inc,
+                                       sample_index=s).terminal.coeffs
+                assert terminals[row].tobytes() == matrix.tobytes()
+
     def test_coupled_terminal_builds_no_noise_matrix(self, double_well):
         # The (1024, 1024) increment matrix alone would take 8.4 MB.
         realization = NoiseRealization(NoiseGrid.for_horizon(1.0, 1024, 1024), 3, 0)

@@ -337,6 +337,90 @@ class TestAggregation:
                     assert np.all(np.linalg.norm(got - expected, axis=0) <= 1e-13 * scale)
 
 
+def per_step_sum(weights: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """acc = w0 f0; acc += w1 f1; ... over the fine steps of one coarse interval."""
+    acc = weights[0] * fine[0]
+    for w, f in zip(weights[1:], fine[1:]):
+        acc += w * f
+    return acc
+
+
+class TestChunks:
+    """Chunks of fine steps give the values of one fine step at a time."""
+
+    @pytest.mark.parametrize("rows", [(), (1,), (3,)])
+    @pytest.mark.parametrize("n_modes", [1, 5])
+    @pytest.mark.parametrize("sizes", [
+        (1,) * 16, (2,) * 8, (8, 8), (1, 2, 8, 1, 4), (3, 8, 2, 2, 1),
+    ])
+    def test_chunk_sum_equals_per_step_loop(self, rows, n_modes, sizes):
+        # Fine shapes (C, N) and (C, S, N), chunks of 1, 2 and 8 steps, some
+        # of them starting mid-interval; 16 substeps per coarse interval.
+        grid = NoiseGrid(n_modes=6, m_fine=32, tau_fine=1 / 32)
+        coarsener = Coarsener(grid, n_modes, 2)
+        rng = np.random.default_rng(5)
+        fine = rng.standard_normal((32,) + rows + (6,)) * 10.0 ** rng.integers(-6, 6, 6)
+        weights = convolution_weights(eigenvalues(n_modes), 16, grid.tau_fine)
+        got = []
+        first = 0
+        for size in sizes * 2:
+            out = coarsener.push_chunk(first, fine[first:first + size])
+            first += size
+            assert (out is None) == (first % 16 != 0)
+            if out is not None:
+                got.append(out.tobytes())
+        expected = [per_step_sum(weights, fine[k:k + 16, ..., :n_modes]).tobytes()
+                    for k in (0, 16)]
+        assert got == expected
+
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    def test_chunk_rows_equal_fine_matrix(self, count):
+        grid = NoiseGrid(n_modes=5, m_fine=16, tau_fine=1 / 16)
+        stream = IncrementStream(grid, 17, [4, 2])
+        for first in range(0, grid.m_fine, count):
+            chunk = stream.chunk(first, count)
+            assert chunk.shape == (count, 2, 5)
+            for m, rows in enumerate(chunk, first):
+                for row, s in zip(rows, (4, 2)):
+                    assert row.tobytes() == NoiseRealization(grid, 17, s).fine_matrix[m].tobytes()
+
+    @pytest.mark.parametrize("first, count, step", [(8, 1, 8), (-1, 1, -1), (6, 4, 8),
+                                                    (11, 2, 11)])
+    def test_stream_rejects_steps_outside_the_grid(self, first, count, step):
+        stream = IncrementStream(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 0, [0])
+        with pytest.raises(ValueError, match=f"^step {step} outside grid with 8 steps$"):
+            stream.chunk(first, count)
+        if count == 1:
+            with pytest.raises(ValueError, match=f"^step {step} outside grid with 8 steps$"):
+                stream.at(first)
+
+    def test_coarsener_refuses_a_first_push_mid_interval(self):
+        coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
+        with pytest.raises(ValueError, match="expected fine step 0, got 1"):
+            coarsener.push(1, np.ones(4))
+
+    def test_coarsener_refuses_a_skipped_step(self):
+        coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
+        assert coarsener.push(0, np.ones(4)) is None
+        with pytest.raises(ValueError, match="expected fine step 1, got 3"):
+            coarsener.push(3, np.ones(4))
+
+    def test_coarsener_refuses_a_chunk_across_intervals(self):
+        coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
+        assert coarsener.push_chunk(0, np.ones((2, 4))) is None
+        with pytest.raises(ValueError, match="fine steps 2 to 5 cross the end"):
+            coarsener.push_chunk(2, np.ones((4, 4)))
+
+    def test_coarsener_starts_again_after_a_full_pass(self):
+        grid = NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1)
+        fine = NoiseRealization(grid, 2, 0).fine_matrix
+        coarsener = Coarsener(grid, 4, 2)
+        passes = [[coarsener.push_chunk(m, fine[m:m + 4]) for m in (0, 4)] for _ in range(2)]
+        assert np.array_equal(passes[0], passes[1])
+        with pytest.raises(ValueError, match="expected fine step 0, got 4"):
+            coarsener.push_chunk(4, fine[4:])
+
+
 class TestNoiseRealization:
     def test_identity_at_fine_resolution(self):
         grid = NoiseGrid(n_modes=4, m_fine=8, tau_fine=1 / 8)
