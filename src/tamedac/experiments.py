@@ -21,7 +21,6 @@ in the same blocks on the same streamed noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -201,7 +200,9 @@ def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     Samples are computed in contiguous blocks, which with threads > 1 run
     in worker processes.  A sample's errors do not depend on its block, and
     they are always reduced in ascending sample order, so the report does
-    not depend on the degree of parallelism.
+    not depend on the degree of parallelism.  The process pool (and with it
+    :mod:`multiprocessing`) is imported only when threads > 1 gives more
+    than one block, so a serial study never loads it.
     """
     threads = _integer("threads", threads, 1)
     size = min(_BLOCK_SAMPLES, math.ceil(config.samples / threads))
@@ -212,6 +213,8 @@ def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     if workers <= 1:
         blocks = list(map(_study_block, *args))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_study_block, *args))
     squared = np.concatenate(blocks)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -325,7 +326,8 @@ class TestStrongErrorStudy:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers, **options)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorded)
+        # The study imports the pool where it uses it, so patch its home module.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         for samples, workers in ((2, [2]), (1, [])):
             started.clear()
             config = small_config(double_well, samples=samples)

@@ -262,6 +262,29 @@ class TestDst1:
         )
         assert json.loads(out.splitlines()[-1]) == [0, [], []]
 
+    def test_serial_runs_never_import_the_process_pool(self, tmp_path):
+        out = run_fresh(
+            "import json, os, sys\n"
+            "import tamedac.cli\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "unwanted = ('multiprocessing', 'concurrent.futures.process')\n"
+            "def loaded():\n"
+            "    return [m for m in unwanted if m in sys.modules]\n"
+            "seen = [loaded()]\n"
+            "study = ['converge', '--resolutions', '4,8', '--ref', '16', '--samples', '4']\n"
+            "codes = [tamedac.cli.main(study + ['--out', 'serial.csv'])]\n"
+            "seen.append(loaded())\n"
+            "codes.append(tamedac.cli.main(['simulate', '--resolutions', '8', '--steps', '16',\n"
+            "                               '--out', 's.csv']))\n"
+            "codes.append(tamedac.cli.main(['diagnose', '--resolutions', '8', '--samples', '2',\n"
+            "                               '--out', 'd.csv']))\n"
+            "seen.append(loaded())\n"
+            "codes.append(tamedac.cli.main(study + ['--threads', '2', '--out', 'pooled.csv']))\n"
+            "print(json.dumps([codes, seen, 'multiprocessing' in sys.modules]))\n"
+        )
+        assert json.loads(out.splitlines()[-1]) == [[0, 0, 0, 0], [[], [], []], True]
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
     def test_scipy_fft_imports_after_tamedac(self):
         out = run_fresh(
             "import numpy as np\n"
