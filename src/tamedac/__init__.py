@@ -38,9 +38,7 @@ from .spectral import (
     dealias_grid_size,
     eigenvalue,
     grid_points,
-    l2_norm,
     project,
-    sup_norm_estimate,
     synthesize,
 )
 from .stepper import BLOWUP_THRESHOLD, simulate_path
@@ -71,7 +69,6 @@ __all__ = [
     "fit_slope",
     "grid_points",
     "increment_variance",
-    "l2_norm",
     "load_error_csv",
     "moment_diagnostics",
     "nonlinearity_galerkin",
@@ -81,7 +78,6 @@ __all__ = [
     "sample_squared_errors",
     "simulate_path",
     "strong_error_study",
-    "sup_norm_estimate",
     "synthesize",
     "tamed_drift",
 ]

@@ -217,7 +217,7 @@ def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
                           grid_size: int | None = None) -> SpectralField:
     """Galerkin projection of the drift onto the field's modes."""
     seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
-    return SpectralField._own(_drift_raw(params, fld.coeffs, seg))
+    return SpectralField(_drift_raw(params, fld.coeffs, seg))
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
@@ -228,4 +228,4 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     single explicit step bounded no matter how large the input field is.
     """
     seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
-    return SpectralField._own(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))
+    return SpectralField(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))

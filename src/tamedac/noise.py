@@ -65,10 +65,6 @@ class NoiseGrid:
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "tau_fine", _real("tau_fine", self.tau_fine, "positive"))
 
-    @property
-    def horizon(self) -> float:
-        return self.tau_fine * self.m_fine
-
     @classmethod
     def for_horizon(cls, horizon: float, m_fine: int, n_modes: int) -> "NoiseGrid":
         return cls(n_modes=n_modes, m_fine=m_fine,

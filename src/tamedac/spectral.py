@@ -38,11 +38,8 @@ SQRT2 = np.sqrt(2.0)
 
 
 def _as_readonly_vector(values, name: str) -> np.ndarray:
-    return _readonly_vector(np.array(values, dtype=np.float64, copy=True), name)
-
-
-def _readonly_vector(arr: np.ndarray, name: str) -> np.ndarray:
-    """`arr` itself, checked and made read-only."""
+    """A checked, read-only float64 copy of `values`."""
+    arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(arr)):
@@ -59,14 +56,6 @@ class SpectralField:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_readonly_vector(self.coeffs, "coeffs"))
-
-    @classmethod
-    def _own(cls, coeffs: np.ndarray) -> "SpectralField":
-        """A field holding the fresh float64 array `coeffs` itself, not a copy;
-        the caller keeps no other reference to it."""
-        fld = object.__new__(cls)
-        object.__setattr__(fld, "coeffs", _readonly_vector(coeffs, "coeffs"))
-        return fld
 
     @property
     def n_modes(self) -> int:
@@ -229,27 +218,14 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0])
 
 
-def l2_norm(fld: SpectralField) -> float:
-    """L2(0,1) norm via the Parseval identity."""
-    return float(_row_norms(fld.coeffs)[0])
+def _sup_norms(coeffs: np.ndarray) -> np.ndarray:
+    """Max of |values| of every row of `coeffs` (shape (..., N)) over the
+    synthesis grid of 4N points.
 
-
-def _sup_norms(coeffs: np.ndarray, grid_size: int | None = None) -> np.ndarray:
-    """:func:`sup_norm_estimate` of every row of `coeffs` (shape (..., N))."""
-    least = 4 * coeffs.shape[-1]
-    if grid_size is not None and _integer("grid_size", grid_size, 1) < least:
-        raise ResolutionError(f"sup norm estimate needs grid_size >= {least}, got {grid_size}")
-    return np.abs(_synthesize_raw(coeffs, grid_size or least)).max(axis=-1)
-
-
-def sup_norm_estimate(fld: SpectralField, grid_size: int | None = None) -> float:
-    """Max of |values| over an oversampled synthesis grid.
-
-    A lower bound on the true sup norm that converges as the grid grows;
-    the default grid (4 points per mode) resolves every oscillation of the
-    highest mode.  This is a diagnostic, not a proof-grade norm.
+    A lower bound on the true sup norm; the grid resolves every oscillation
+    of the highest mode.  This is a diagnostic, not a proof-grade norm.
     """
-    return float(_sup_norms(fld.coeffs, grid_size))
+    return np.abs(_synthesize_raw(coeffs, 4 * coeffs.shape[-1])).max(axis=-1)
 
 
 def _smooth_size(least: int) -> int:

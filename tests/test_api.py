@@ -37,10 +37,10 @@ PUBLIC_NAMES = {
     "NoiseRealization", "ResolutionError", "RunConfig", "SpectralField",
     "analyze", "coupled_terminal", "dealias_grid_size", "eigenvalue",
     "emit_csv", "emit_loglog_plot", "fit_slope", "grid_points",
-    "increment_variance", "l2_norm", "load_error_csv",
+    "increment_variance", "load_error_csv",
     "moment_diagnostics", "nonlinearity_galerkin", "project",
     "resolution_pair", "sample_fine_increment", "sample_squared_errors",
-    "simulate_path", "strong_error_study", "sup_norm_estimate", "synthesize", "tamed_drift",
+    "simulate_path", "strong_error_study", "synthesize", "tamed_drift",
 }
 
 
@@ -72,7 +72,6 @@ COUNTS = [
     ("analyze", "n_modes", lambda v: tamedac.analyze(GridField(np.zeros(8)), v)),
     ("project", "n_target", lambda v: tamedac.project(FIELD, v)),
     ("synthesize", "grid_size", lambda v: tamedac.synthesize(FIELD, v)),
-    ("sup_norm_estimate", "grid_size", lambda v: tamedac.sup_norm_estimate(FIELD, v)),
     ("dealias_grid_size", "n_modes", lambda v: tamedac.dealias_grid_size(v)),
     ("nonlinearity_galerkin", "grid_size",
      lambda v: tamedac.nonlinearity_galerkin(PARAMS, FIELD, v)),
@@ -143,7 +142,6 @@ def test_run_config_rejects_a_finest_step_that_underflows():
 TOO_FEW_POINTS = {
     "synthesize": lambda: tamedac.synthesize(SpectralField.zeros(8), 4),
     "analyze": lambda: tamedac.analyze(GridField(np.zeros(4)), 8),
-    "sup_norm_estimate": lambda: tamedac.sup_norm_estimate(SpectralField.zeros(8), 16),
     "Coarsener": lambda: Coarsener(GRID, 8, 8),
     "nonlinearity_galerkin": lambda: tamedac.nonlinearity_galerkin(
         PARAMS, SpectralField.zeros(8), 10),
@@ -163,12 +161,23 @@ def test_sample_index_is_checked(value):
         tamedac.sample_squared_errors(CONFIG, value)
 
 
-def names_imported_from_package(path: Path) -> set[str]:
-    """Names a script takes from ``from tamedac import ...``."""
+def names_imported_from_package(path: Path, submodules: bool = False) -> set[str]:
+    """Names a script takes from ``from tamedac import ...`` and, if
+    `submodules`, from ``from tamedac.<module> import ...`` too."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return {alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "tamedac"
+            if isinstance(node, ast.ImportFrom) and node.module is not None
+            and (node.module == "tamedac"
+                 or submodules and node.module.startswith("tamedac."))
             for alias in node.names}
+
+
+def names_read(path: Path) -> set[str]:
+    """Names a module loads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def unused_imports(path: Path) -> set[str]:
@@ -204,7 +213,24 @@ def test_imported_names_are_exported(script):
     assert wanted <= set(tamedac.__all__)
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
-                                          if p.name != "__init__.py"))
+def test_every_public_name_has_a_reader():
+    # A public name is read by the package itself, or imported by the
+    # acceptance tests or the benchmark's traced run; the unit tests alone
+    # do not keep a name public.
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            readers |= names_read(path)
+    for script in ("tests/test_acceptance.py", "perfbench/traced.py"):
+        readers |= names_imported_from_package(ROOT / script, submodules=True)
+    assert set(tamedac.__all__) - readers == set()
+
+
+# Package modules by file name, test modules by their path from the root.
+MODULES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in (ROOT / "tests").glob("*.py")})
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    assert unused_imports(PACKAGE / module) == set()
+    assert unused_imports(MODULES[module]) == set()

@@ -24,10 +24,10 @@ from tamedac import (
     sample_squared_errors,
     simulate_path,
     strong_error_study,
-    sup_norm_estimate,
 )
 from tamedac.errors import BlowupError
 from tamedac.experiments import _study_block
+from tamedac.spectral import _sup_norms
 from tamedac.stepper import PathBlock
 
 from oracles import polyfit_slope
@@ -63,7 +63,7 @@ def per_sample_moments(config: RunConfig, n_steps=None, *, tamed=True,
             try:
                 for m in range(steps):
                     drift = path.step(inc[m] if with_noise else None)[0]
-                    sup.append(sup_norm_estimate(SpectralField(path.coeffs[0])))
+                    sup.append(_sup_norms(path.coeffs[0]))
                     l2.append(np.linalg.norm(path.coeffs[0]))
                     drift_norms.append(np.linalg.norm(drift))
             except BlowupError:

@@ -451,4 +451,4 @@ class TestNoiseRealization:
             NoiseGrid(n_modes=1, m_fine=4, tau_fine=0.0)
         grid = NoiseGrid.for_horizon(2.0, 8, 3)
         assert grid.tau_fine == pytest.approx(0.25)
-        assert grid.horizon == pytest.approx(2.0, rel=1e-12)
+        assert grid.tau_fine * grid.m_fine == pytest.approx(2.0, rel=1e-12)

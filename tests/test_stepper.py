@@ -6,7 +6,6 @@ from tamedac import (
     NoiseGrid,
     NoiseRealization,
     SpectralField,
-    l2_norm,
     nonlinearity_galerkin,
     simulate_path,
     tamed_drift,
