@@ -154,6 +154,8 @@ def parse_options(argv: list[str] | None = None) -> dict:
     defaults = {key: value for key, value in config.items() if key in vars(args)}
     if getattr(args, "paper_scale", False):
         defaults.update(ref=2048, samples=1000)
+    if not defaults:
+        return vars(args)
     commands[args.command].set_defaults(**defaults)
     return vars(parser.parse_args(argv))
 

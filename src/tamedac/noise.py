@@ -22,6 +22,15 @@ strong-error study draws its noise in such chunks
 whole coarse intervals of a materialized matrix.  A sum is the same
 sequence of additions however its substeps are chunked, so both routes
 give the same values bit for bit.
+
+Most weights of a fine grid are exact zeros: exp(-lambda_i (t_b - t_{k+1}))
+is 0.0 in float64 once its exponent passes about 745, which at M = N = 1024
+holds for every mode above 278 at every age of one fine step or more.
+:class:`Coarsener` stores and multiplies only the nonzero prefix of each
+weight row.  A skipped product is an exact +-0, which leaves a nonzero
+partial sum as it was, and every sum ends with its last fine increment at
+weight exp(0) = 1, so the coarse increments are those of the full sum bit
+for bit.
 """
 
 from __future__ import annotations
@@ -170,15 +179,25 @@ class Coarsener:
     (:meth:`push`) or a chunk of steps inside one coarse interval
     (:meth:`push_chunk`) at a time; each time a coarse interval closes, the
     call returns its increments, the substeps summed in time order.
+
+    Only the nonzero weights are stored and multiplied.  A weight
+    exp(-lambda_i tau_f a) falls with the mode i and the age a, so the
+    nonzero weights of substep k are the first w_k of its row, and no
+    aged row is wider than the age-1 row.  A chunk multiplies and sums the
+    first w columns, w that of its youngest aged row, and an interval
+    closes by adding its running sum onto its last fine increment, whose
+    weight is exp(0) = 1.  The skipped products are exact zeros, so the
+    values are those of the full sum bit for bit whenever that last
+    increment is nonzero.
     """
 
     def __init__(self, grid: NoiseGrid, n_modes: int, n_steps: int):
         self.n_modes = n_modes
         self.substeps = _substeps(grid, n_modes, n_steps)
-        self._weights = convolution_weights(eigenvalues(n_modes), self.substeps, grid.tau_fine)
+        self._weights, self._widths = _aged_weights(n_modes, self.substeps, grid.tau_fine)
         self._m_fine = grid.m_fine
         self._next = 0  # the fine step the next chunk must start at
-        self._acc = None
+        self._acc = None  # the running sum of the interval, over its first columns
 
     def push(self, fine_step_index: int, fine: np.ndarray) -> np.ndarray | None:
         """Take the fine increments (..., >= n_modes) of one fine step."""
@@ -197,13 +216,21 @@ class Coarsener:
         self._next = (first + count) % self._m_fine  # a full pass starts the next at 0
         if self.substeps == 1:
             return fine[0, ..., : self.n_modes]  # its one weight is exp(0) = 1 exactly
-        weights = self._weights[j : j + count]
-        part = weights.reshape((count,) + (1,) * (fine.ndim - 2) + (self.n_modes,)) \
-            * fine[..., : self.n_modes]
-        if j:
-            part[0] += self._acc
-        self._acc = _time_sum(part)
-        return self._acc if j + count == self.substeps else None
+        closes = j + count == self.substeps
+        aged = count - closes  # the chunk's rows before the interval's last
+        if aged:
+            width = self._widths[j + aged - 1]  # the youngest row is the widest
+            weights = self._weights[j : j + aged, :width]
+            part = weights.reshape((aged,) + (1,) * (fine.ndim - 2) + (width,)) \
+                * fine[:aged, ..., :width]
+            if j:
+                part[0, ..., : self._acc.shape[-1]] += self._acc
+            self._acc = _time_sum(part)
+        if not closes:
+            return None
+        out = fine[-1, ..., : self.n_modes].copy()
+        out[..., : self._acc.shape[-1]] += self._acc
+        return out
 
 
 def _time_sum(part: np.ndarray) -> np.ndarray:
@@ -239,10 +266,38 @@ def _normal_stream(master_seed: int, sample_index: int, thread: int) -> NormalSt
 
 
 def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float):
-    """Weights exp(-lambda tau_f (R - 1 - j)) of the split-interval identity."""
+    """Weights exp(-lambda tau_f (R - 1 - j)) of the split-interval identity.
+
+    Row j is substep j of an interval of R = n_sub, at age R - 1 - j.  In
+    float64 a weight is exactly 0.0 once lambda tau_f (R - 1 - j) exceeds
+    about 745; :class:`Coarsener` keeps only the nonzero ones, which leaves
+    its sums unchanged bit for bit.
+    """
     ages = np.arange(n_sub - 1, -1, -1, dtype=np.float64) * tau_fine
     with np.errstate(over="ignore"):  # where lambda tau_f (R - 1 - j) overflows, 0 is the limit
-        return np.exp(-np.multiply.outer(ages, lam))
+        weights = np.multiply.outer(-ages, lam)
+        return np.exp(weights, out=weights)
+
+
+def _aged_weights(n_modes: int, n_sub: int, tau_fine: float) -> tuple[np.ndarray, list[int]]:
+    """The rows of convolution_weights at ages n_sub - 1 .. 1, cut to their
+    nonzero block, shape (n_sub - 1, w), and the width of each row.
+
+    A row's width is the index of its last nonzero weight plus 1, at least
+    that of every older row.  The age-1 row is the widest, so the block is
+    built on its w modes, never as the dense (n_sub, n_modes) table.
+    """
+    if n_sub == 1:
+        return np.empty((0, 0)), []
+    lam = eigenvalues(n_modes)
+    nonzero = np.flatnonzero(convolution_weights(lam, 2, tau_fine)[0])
+    if not len(nonzero):
+        return np.empty((n_sub - 1, 0)), [0] * (n_sub - 1)
+    width = nonzero[-1] + 1
+    block = convolution_weights(lam[:width], n_sub, tau_fine)[:-1]
+    nonzero = block != 0
+    last = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    return block, np.maximum.accumulate(last).tolist()
 
 
 class NoiseRealization:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own evaluation paths:
 the cubic expansion works with the product-to-sum identity for sines, the
 quadrature helpers sum grid values directly, the coarse noise increments
-are summed mode by mode with scalar weights, and the slope oracle goes
-through numpy's polynomial fit, and the keyed normals come from a fresh
-Philox generator per draw.
+are summed mode by mode with scalar weights (or, to check the library's
+sums bit for bit, as every product of a given weight table in time order),
+the slope oracle goes through numpy's polynomial fit, and the keyed
+normals come from a fresh Philox generator per draw.
 """
 
 import math
@@ -118,6 +119,24 @@ def split_interval_increments(fine: np.ndarray, n_modes: int, n_steps: int,
         weights = np.array([math.exp(-lam * tau_fine * (sub - 1 - k)) for k in range(sub)])
         out[:, i - 1] = fine[:, i - 1].reshape(n_steps, sub) @ weights
     return out
+
+
+def dense_time_sums(weights: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Coarse increments as the dense split-interval sum, shape (M, ..., N).
+
+    `weights` holds the R weight rows of a coarse interval, shape (R, N), and
+    `fine` the fine increments, shape (M R, ..., N).  Coarse step m is
+    ((w_0 f_{mR} + w_1 f_{mR+1}) + ...) + w_{R-1} f_{mR+R-1}: every product
+    is formed, zero or not, and added in time order.
+    """
+    sub = len(weights)
+    out = []
+    for first in range(0, len(fine), sub):
+        acc = weights[0] * fine[first]
+        for k in range(1, sub):
+            acc = acc + weights[k] * fine[first + k]
+        out.append(acc)
+    return np.stack(out)
 
 
 def philox_normals(master_seed: int, sample_index: int, fine_step_index: int,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import re
 import xml.etree.ElementTree as ET
@@ -90,6 +91,22 @@ class TestParsing:
     def test_paper_scale_yields_to_explicit_flags(self):
         opts = parse_options(["converge", "--paper-scale", "--ref", "512"])
         assert opts["ref"] == 512 and opts["samples"] == 1000
+
+    @pytest.mark.parametrize("argv, parses", [
+        (["converge", "--samples", "5"], 1),
+        (["converge", "--paper-scale"], 2),
+    ])
+    def test_parsed_again_only_under_new_defaults(self, argv, parses, monkeypatch):
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(args)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        parse_options(argv)
+        assert len(calls) == parses
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tamedac.noise import (
 from tamedac.spectral import eigenvalues
 from tamedac.stepper import PathBlock
 
-from oracles import philox_normals, split_interval_increments
+from oracles import dense_time_sums, philox_normals, split_interval_increments
 
 # The resolution ladders of the benchmark workloads, at reference 1024.
 BENCHMARK_LADDERS = {
@@ -52,10 +53,6 @@ class TestIncrementVariance:
     def test_upper_bounds(self, i, tau):
         v = increment_variance(i, tau)
         assert 0.0 < v <= min(tau, 1.0 / (2 * eigenvalue(i))) * (1 + 1e-14)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            increment_variance(1, 0.0)
 
     @pytest.mark.parametrize("variance", [increment_variance, increment_variances],
                              ids=lambda f: f.__name__)
@@ -337,14 +334,6 @@ class TestAggregation:
                     assert np.all(np.linalg.norm(got - expected, axis=0) <= 1e-13 * scale)
 
 
-def per_step_sum(weights: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """acc = w0 f0; acc += w1 f1; ... over the fine steps of one coarse interval."""
-    acc = weights[0] * fine[0]
-    for w, f in zip(weights[1:], fine[1:]):
-        acc += w * f
-    return acc
-
-
 class TestChunks:
     """Chunks of fine steps give the values of one fine step at a time."""
 
@@ -369,8 +358,7 @@ class TestChunks:
             assert (out is None) == (first % 16 != 0)
             if out is not None:
                 got.append(out.tobytes())
-        expected = [per_step_sum(weights, fine[k:k + 16, ..., :n_modes]).tobytes()
-                    for k in (0, 16)]
+        expected = [row.tobytes() for row in dense_time_sums(weights, fine[..., :n_modes])]
         assert got == expected
 
     @pytest.mark.parametrize("count", [1, 2, 8])
@@ -419,6 +407,82 @@ class TestChunks:
         assert np.array_equal(passes[0], passes[1])
         with pytest.raises(ValueError, match="expected fine step 0, got 4"):
             coarsener.push_chunk(4, fine[4:])
+
+
+# Horizons of a 24-step fine grid at which no aged split-interval weight of
+# 1024 modes underflows to 0.0, some do (with subnormals at the edge), all
+# but those of the first 4 modes do (older rows 3, 2, 1 and 0 modes wide),
+# or all do.
+ZERO_WEIGHT_HORIZONS = {"no-zero": 1e-5, "some-zero": 1.0, "few-nonzero": 96.0,
+                        "all-zero": 3e3}
+
+
+def pushed_in_chunks(coarsener: Coarsener, fine: np.ndarray, size: int) -> list[bytes]:
+    """The coarse increments of a whole pass, fed in chunks of up to `size`
+    fine steps that stop at the end of each coarse interval."""
+    out, first, sub = [], 0, coarsener.substeps
+    while first < len(fine):
+        count = min(size, sub - first % sub)
+        coarse = coarsener.push_chunk(first, fine[first:first + count])
+        first += count
+        if coarse is not None:
+            out.append(coarse.tobytes())
+    return out
+
+
+class TestZeroWeights:
+    """Coarsener skips the weights that underflow to 0.0, bit for bit."""
+
+    def test_horizons_give_full_partial_and_empty_rows(self):
+        def oldest_and_age_1(horizon):
+            weights = convolution_weights(eigenvalues(1024), 24, horizon / 24)
+            return weights[0], weights[-2]
+
+        oldest, _ = oldest_and_age_1(ZERO_WEIGHT_HORIZONS["no-zero"])
+        assert np.all(oldest > 0)
+        oldest, age_1 = oldest_and_age_1(ZERO_WEIGHT_HORIZONS["some-zero"])
+        assert 0 < np.count_nonzero(oldest) < np.count_nonzero(age_1) < 1024
+        assert np.any((age_1 > 0) & (age_1 < np.finfo(np.float64).tiny))  # subnormal
+        oldest, age_1 = oldest_and_age_1(ZERO_WEIGHT_HORIZONS["few-nonzero"])
+        assert (np.count_nonzero(oldest), np.count_nonzero(age_1)) == (0, 4)
+        _, age_1 = oldest_and_age_1(ZERO_WEIGHT_HORIZONS["all-zero"])
+        assert not np.any(age_1)
+
+    @pytest.mark.parametrize("rows", [(), (1,), (3,)])
+    @pytest.mark.parametrize("horizon", ZERO_WEIGHT_HORIZONS.values(), ids=ZERO_WEIGHT_HORIZONS)
+    def test_equals_dense_time_sum(self, horizon, rows):
+        # Fine shapes (C, N), (C, 1, N) and (C, 3, N), magnitudes from 1e-300
+        # on, so products of subnormal weights also underflow; chunks of 1, 2,
+        # 3, 4 and 8 steps and whole intervals, 24 to 1 substeps an interval.
+        grid = NoiseGrid.for_horizon(horizon, 24, 1024)
+        rng = np.random.default_rng(11)
+        fine = rng.standard_normal((24,) + rows + (1024,)) * 10.0 ** rng.integers(-300, 8, 1024)
+        for n_modes in (1, 2, 41, 42, 43, 100, 1024):
+            for n_steps in (1, 2, 3, 8, 24):
+                sub = 24 // n_steps
+                weights = convolution_weights(eigenvalues(n_modes), sub, grid.tau_fine)
+                expected = [row.tobytes()
+                            for row in dense_time_sums(weights, fine[..., :n_modes])]
+                coarsener = Coarsener(grid, n_modes, n_steps)
+                for size in (1, 2, 3, 4, 8, sub):
+                    assert pushed_in_chunks(coarsener, fine, size) == expected, \
+                        (n_modes, n_steps, size)
+
+    def test_temporal_ladder_keeps_only_nonzero_weights(self):
+        # The dense (substeps, 1024) weight tables of the six rungs would take
+        # 2.06 MB, that of the 128-substep rung alone 1.05 MB.
+        ref = 1024
+        grid = NoiseGrid.for_horizon(1.0, ref, ref)
+        pairs = [resolution_pair("temporal", r, ref) for r in BENCHMARK_LADDERS["temporal"]]
+        tracemalloc.start()
+        try:
+            coarseners = [Coarsener(grid, *pair) for pair in pairs]
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.substeps for c in coarseners] == [128, 64, 32, 16, 8, 4]
+        assert kept <= 0.6e6
+        assert peak < 1e6
 
 
 class TestNoiseRealization:
