@@ -71,7 +71,8 @@ def _add_options(p: argparse.ArgumentParser, command: str | None) -> argparse.Ar
                    help="master seed; the single source of randomness")
     if command in (None, "converge"):
         p.add_argument("--threads", type=_checked(int, _integer, "threads", 1),
-                       default=1, help="worker processes (output is byte-identical at any count)")
+                       default=1,
+                       help="processes, this one included (output is byte-identical at any count)")
     p.add_argument("--horizon", type=_checked(float, _real, "horizon_T", "positive"),
                    default=DEFAULT_PARAMS.horizon_T, help="time horizon T")
     for name, sign, what in (("a3", "negative", "cubic drift coefficient (< 0)"),

@@ -16,14 +16,20 @@ block of its own.  No noise matrix is ever materialized, and every
 sample's errors are the same bit for bit whichever block it is computed
 in.  :func:`coupled_terminal` and the moment diagnostics run their paths
 in the same blocks on the same streamed noise.
+
+A study with more than one worker splits its samples into contiguous
+shares: the first is computed in the calling process, each other one in a
+child made by os.fork that pickles its rows back through a pipe.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -36,8 +42,8 @@ from .stepper import PathBlock
 MODES = ("joint", "spatial", "temporal")
 # Samples per block.  A block shares each step's per-call overhead among its
 # rows: on one core at ref 1024 the time per sample falls by 38-56% from 1
-# to 8 rows and changes by -13% to +7% from 8 to 16, while larger blocks
-# would only coarsen the work units of a process pool.
+# to 8 rows and changes by -13% to +7% from 8 to 16.  A parallel study
+# splits its samples into shares first, each computed in such blocks.
 _BLOCK_SAMPLES = 8
 # Most fine steps drawn and coarsened at once.  A chunk shares the per-call
 # overhead of coarsening among its steps; 8 keeps the chunk of a block at
@@ -194,30 +200,105 @@ def _study_block(config: RunConfig, first: int, count: int) -> np.ndarray:
                           step_index=exc.step_index, sample_index=first) from exc
 
 
+def _share_rows(config: RunConfig, first: int, count: int) -> np.ndarray:
+    """Squared errors of samples first .. first + count - 1, computed in
+    blocks of at most _BLOCK_SAMPLES; stops at the first block that fails."""
+    return np.concatenate([_study_block(config, s, min(_BLOCK_SAMPLES, first + count - s))
+                           for s in range(first, first + count, _BLOCK_SAMPLES)])
+
+
+def _fork_share(config: RunConfig, first: int, count: int) -> tuple[int, BinaryIO]:
+    """Start a child process that computes one share of a study.
+
+    The child pickles its rows, or its first exception, into a pipe and
+    leaves by os._exit, with status 0 only once the whole report is
+    written.  Returns the child's pid and the pipe's read end.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        try:
+            report = pickle.dumps(_share_rows(config, first, count))
+        except BaseException as exc:
+            report = pickle.dumps(exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(report)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _study_rows(config: RunConfig, threads: int) -> np.ndarray:
+    """Squared errors of every sample of a study, in ascending sample order.
+
+    The samples are split into min(threads, samples) contiguous shares, as
+    equal as possible.  Share 0 runs in this process and each other share
+    in a child forked for it; without os.fork there is one share.  The
+    failure of the lowest-indexed failing share is raised.  If this process
+    fails or is interrupted, every child is killed and reaped first.
+    """
+    workers = min(threads, config.samples) if hasattr(os, "fork") else 1
+    size, extra = divmod(config.samples, workers)
+    firsts = [k * size + min(k, extra) for k in range(workers + 1)]
+    shares = [(first, end - first) for first, end in zip(firsts, firsts[1:])]
+    children: dict[int, BinaryIO] = {}  # every child not yet reaped
+    try:
+        for first, count in shares[1:]:
+            pid, pipe = _fork_share(config, first, count)
+            children[pid] = pipe
+        rows = [_share_rows(config, *shares[0])]
+        for (first, count), pid in zip(shares[1:], list(children)):
+            report = children[pid].read()
+            children[pid].close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status:
+                ending = f"exit status {status}" if status >= 0 else f"signal {-status}"
+                raise RuntimeError(f"the process computing samples {first} .. "
+                                   f"{first + count - 1} ended with {ending} "
+                                   "before reporting its rows")
+            share = pickle.loads(report)
+            if isinstance(share, BaseException):
+                raise share
+            rows.append(share)
+    except BaseException:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, 9)  # SIGKILL
+            except ProcessLookupError:
+                pass
+        for pid in children:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+        raise
+    return np.concatenate(rows)
+
+
 def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     """Estimate strong errors across the resolution ladder.
 
-    Samples are computed in contiguous blocks, which with threads > 1 run
-    in worker processes.  A sample's errors do not depend on its block, and
+    Samples are split into at most `threads` contiguous shares, each
+    computed in blocks: share 0 in this process, each other share in a
+    forked child (see :func:`_study_rows`), so a serial study forks
+    nothing.  A sample's errors do not depend on its block or share, and
     they are always reduced in ascending sample order, so the report does
-    not depend on the degree of parallelism.  The process pool (and with it
-    :mod:`multiprocessing`) is imported only when threads > 1 gives more
-    than one block, so a serial study never loads it.
+    not depend on the degree of parallelism.  No study imports
+    :mod:`multiprocessing`, and none leaves a child process behind.
     """
     threads = _integer("threads", threads, 1)
-    size = min(_BLOCK_SAMPLES, math.ceil(config.samples / threads))
-    firsts = range(0, config.samples, size)
-    counts = [min(size, config.samples - first) for first in firsts]
-    args = ([config] * len(firsts), firsts, counts)
-    workers = min(threads, len(firsts))
-    if workers <= 1:
-        blocks = list(map(_study_block, *args))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_study_block, *args))
-    squared = np.concatenate(blocks)
+    squared = _study_rows(config, threads)
 
     mean_sq = squared.mean(axis=0)
     rms = np.sqrt(mean_sq)

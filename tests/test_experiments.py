@@ -1,4 +1,6 @@
-import concurrent.futures
+import os
+import signal
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -18,6 +20,7 @@ from tamedac import (
     RunConfig,
     SpectralField,
     coupled_terminal,
+    emit_csv,
     fit_slope,
     moment_diagnostics,
     resolution_pair,
@@ -40,6 +43,30 @@ REFERENCE_ERRORS = (
 )
 REFERENCE_SLOPE = 0.4937198428411175
 REFERENCE_RESIDUAL = 0.017159787528196798
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork makes during the test."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    # Per pid rather than os.waitpid(-1, ...): a spawn-context pool elsewhere
+    # in the suite leaves multiprocessing's resource tracker as a live child.
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def small_config(double_well, **overrides) -> RunConfig:
@@ -318,26 +345,115 @@ class TestStrongErrorStudy:
             assert (info.value.sample_index, info.value.step_index) == (0, oracle[0].step_index)
             assert str(info.value) == f"sample 0 blew up: {oracle[0]}"
 
-    def test_pool_has_no_more_workers_than_blocks(self, double_well, monkeypatch):
-        started = []
-
-        class Recorded(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **options):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **options)
-
-        # The study imports the pool where it uses it, so patch its home module.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        for samples, workers in ((2, [2]), (1, [])):
-            started.clear()
+    def test_forks_one_child_per_share_after_the_first(self, double_well, forked):
+        for samples, threads, children in ((2, 4, 1), (1, 4, 0), (8, 3, 2), (8, 1, 0)):
             config = small_config(double_well, samples=samples)
-            assert strong_error_study(config, threads=4) == strong_error_study(config)
-            assert started == workers
+            serial = strong_error_study(config)
+            forked.clear()
+            assert strong_error_study(config, threads=threads) == serial
+            assert len(forked) == children
+            assert_reaped(forked)
+
+    def test_without_fork_a_parallel_study_runs_serially(self, double_well, monkeypatch,
+                                                          tmp_path):
+        config = small_config(double_well, samples=5)
+        serial = strong_error_study(config)
+        monkeypatch.delattr(os, "fork")
+        report = strong_error_study(config, threads=2)
+        emit_csv(serial, str(tmp_path / "serial.csv"))
+        emit_csv(report, str(tmp_path / "threads2.csv"))
+        assert (tmp_path / "threads2.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_nonpositive_threads(self, double_well, threads):
         with pytest.raises(ValueError, match="threads must be an integer"):
             strong_error_study(small_config(double_well), threads=threads)
+
+
+class TestShares:
+    """Failures in a parallel study's shares, and the children they leave.
+
+    The tests patch experiments._study_block, which forked children inherit.
+    """
+
+    def test_blowup_in_a_child_share_names_its_sample_and_step(self, double_well,
+                                                                monkeypatch, forked):
+        config = small_config(double_well)  # shares 0 .. 3 and 4 .. 7
+        real = experiments._study_block
+        parent = os.getpid()
+
+        def block(config, first, count):
+            if os.getpid() != parent:
+                stepper.BLOWUP_THRESHOLD = 0.41
+            return real(config, first, count)
+
+        oracle = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "BLOWUP_THRESHOLD", 0.41)
+            for s in range(4, 8):
+                try:
+                    sample_squared_errors(config, s)
+                except BlowupError as exc:
+                    oracle[s] = exc.step_index
+        # Share 0 does not blow up at the default threshold.
+        strong_error_study(replace(config, samples=4))
+        monkeypatch.setattr(experiments, "_study_block", block)
+        with pytest.raises(BlowupError) as info:
+            strong_error_study(config, threads=2)
+        first = min(oracle)
+        assert (info.value.sample_index, info.value.step_index) == (first, oracle[first])
+        assert str(info.value).startswith(f"sample {first} blew up")
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_lowest_failing_share_is_raised(self, double_well, monkeypatch, forked):
+        def block(config, first, count):
+            if first == 0:
+                return np.zeros((count, len(config.resolutions)))
+            # Share 2 fails first in time (share 1 sleeps); share 1 is still
+            # the one raised.
+            time.sleep(0.5 if first == 2 else 0.0)
+            raise BlowupError(f"share at {first}", step_index=10 * first, sample_index=first)
+
+        monkeypatch.setattr(experiments, "_study_block", block)
+        with pytest.raises(BlowupError) as info:
+            strong_error_study(small_config(double_well, samples=6), threads=3)
+        assert (info.value.sample_index, info.value.step_index) == (2, 20)
+        assert str(info.value) == "share at 2"
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("die, ending", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
+    ])
+    def test_child_that_dies_without_a_report_names_its_status(self, double_well, monkeypatch,
+                                                               forked, die, ending):
+        def block(config, first, count):
+            if first > 0:
+                die()
+            return np.zeros((count, len(config.resolutions)))
+
+        monkeypatch.setattr(experiments, "_study_block", block)
+        with pytest.raises(RuntimeError, match=f"samples 4 .. 7 ended with {ending} "):
+            strong_error_study(small_config(double_well), threads=2)
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_interrupted_parent_kills_its_children(self, double_well, monkeypatch, forked):
+        def block(config, first, count):
+            time.sleep(0.2 if first == 0 else 30.0)
+            if first == 0:
+                raise KeyboardInterrupt
+            return np.zeros((count, len(config.resolutions)))
+
+        monkeypatch.setattr(experiments, "_study_block", block)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            strong_error_study(small_config(double_well), threads=2)
+        assert time.monotonic() - start < 5.0
+        assert len(forked) == 1
+        assert_reaped(forked)
 
 
 class TestBlocks:
@@ -353,7 +469,7 @@ class TestBlocks:
                 _study_block(config, first, min(size, 7 - first))
                 for first in range(0, 7, size)])
             assert rows.tobytes() == expected.tobytes()
-        # The blocks a 2-worker study would send, computed in worker processes.
+        # The shares of a 2-worker study, each computed in a fresh interpreter.
         with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
             rows = np.concatenate(list(pool.map(_study_block, [config] * 2, (0, 4), (4, 3))))
         assert rows.tobytes() == expected.tobytes()

@@ -250,7 +250,7 @@ class TestDst1:
         )
         assert json.loads(out.splitlines()[-1]) == [0, [], []]
 
-    def test_serial_runs_never_import_the_process_pool(self, tmp_path):
+    def test_studies_never_import_the_process_pool(self, tmp_path):
         out = run_fresh(
             "import json, os, sys\n"
             "import tamedac.cli\n"
@@ -267,11 +267,11 @@ class TestDst1:
             "codes.append(tamedac.cli.main(['diagnose', '--resolutions', '8', '--samples', '2',\n"
             "                               '--out', 'd.csv']))\n"
             "seen.append(loaded())\n"
-            "codes.append(tamedac.cli.main(study + ['--threads', '2', '--out', 'pooled.csv']))\n"
-            "print(json.dumps([codes, seen, 'multiprocessing' in sys.modules]))\n"
+            "codes.append(tamedac.cli.main(study + ['--threads', '2', '--out', 'forked.csv']))\n"
+            "print(json.dumps([codes, seen, bool(loaded())]))\n"
         )
-        assert json.loads(out.splitlines()[-1]) == [[0, 0, 0, 0], [[], [], []], True]
-        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert json.loads(out.splitlines()[-1]) == [[0, 0, 0, 0], [[], [], []], False]
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_scipy_fft_imports_after_tamedac(self):
         out = run_fresh(
