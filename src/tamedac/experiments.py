@@ -127,12 +127,9 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
     on the samples' noise, streamed on `grid`; consecutive pairs that share a
     step count are segments of one block.
 
-    The noise is drawn in chunks of fine steps that lie inside one coarse
-    interval of every block.  In a chunk the blocks at the fine step size
-    step first, one fine step at a time, and then each other block whose
-    interval the chunk closes: with the reference first in `pairs`, the
-    order of a loop over single fine steps, so a blowup names the same
-    sample and step.
+    The noise is drawn in chunks of consecutive fine steps, and each block
+    in turn takes a chunk through its :class:`Coarsener` and steps once for
+    every coarse interval the chunk closes.
     """
     noise = IncrementStream(grid, master_seed, samples)
     blocks = []
@@ -140,17 +137,15 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
         modes = [n for n, _ in group]
         blocks.append((Coarsener(grid, max(modes), n_steps),
                        PathBlock.at_initial_data(params, modes, n_steps, samples)))
-    every = [block for block in blocks if block[0].substeps == 1]
-    coarse = [block for block in blocks if block[0].substeps > 1]
-    chunk = math.gcd(grid.m_fine, _CHUNK_STEPS, *(c.substeps for c, _ in coarse))
+    # The chunk divides every substep count, so it closes at most one interval
+    # of a coarser block, at its last step: the blocks step in the order of
+    # single fine steps, reference first, and a blowup names the same sample,
+    # N and step.
+    chunk = math.gcd(grid.m_fine, _CHUNK_STEPS, *(c.substeps for c, _ in blocks if c.substeps > 1))
     for first in range(0, grid.m_fine, chunk):
         fine = noise.chunk(first, chunk)
-        for m, row in enumerate(fine, first):
-            for coarsener, path in every:
-                path.step(coarsener.push(m, row))
-        for coarsener, path in coarse:
-            increments = coarsener.push_chunk(first, fine)
-            if increments is not None:
+        for coarsener, path in blocks:
+            for increments in coarsener.push_chunk(first, fine):
                 path.step(increments)
     return [part for _, path in blocks for part in path.parts()]
 

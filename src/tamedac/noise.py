@@ -14,14 +14,14 @@ Coarse increments are derived from fine ones exactly: splitting
     conv[t_a, t_b] = sum_k exp(-lambda (t_b - t_{k+1})) * conv[t_k, t_{k+1}],
 
 an identity of the integral, not an approximation.  :class:`Coarsener` is
-the one implementation of that sum: it takes the fine increments a chunk
-of consecutive fine steps at a time, in time order, weighs a chunk in one
-operation and adds its rows onto the running sum one after another.  The
-strong-error study draws its noise in such chunks
-(:class:`IncrementStream`); :meth:`NoiseRealization.increments` feeds
-whole coarse intervals of a materialized matrix.  A sum is the same
-sequence of additions however its substeps are chunked, so both routes
-give the same values bit for bit.
+the one implementation of that sum, with one feeding method: it takes the
+fine increments of any run of consecutive fine steps, in time order,
+weighs the run's rows in each coarse interval in one operation and adds
+them onto the interval's running sum one after another.  The strong-error
+study draws its noise in runs of a few steps (:class:`IncrementStream`);
+:meth:`NoiseRealization.increments` feeds a materialized matrix as one
+run.  A sum is the same sequence of additions however its substeps are
+split into runs, so both routes give the same values bit for bit.
 
 Most weights of a fine grid are exact zeros: exp(-lambda_i (t_b - t_{k+1}))
 is 0.0 in float64 once its exponent passes about 745, which at M = N = 1024
@@ -175,20 +175,21 @@ class IncrementStream:
 class Coarsener:
     """Exact coarse increments of an (n_modes, n_steps) path from fine ones.
 
-    Feed the fine increments of every fine step in time order, one step
-    (:meth:`push`) or a chunk of steps inside one coarse interval
-    (:meth:`push_chunk`) at a time; each time a coarse interval closes, the
-    call returns its increments, the substeps summed in time order.
+    Feed the fine increments of every fine step in time order through
+    :meth:`push_chunk`, a run of consecutive steps at a time.  A run may
+    start and stop anywhere inside a coarse interval and span any number of
+    them; the call returns the increments of each interval the run closes,
+    the substeps summed in time order.
 
     Only the nonzero weights are stored and multiplied.  A weight
     exp(-lambda_i tau_f a) falls with the mode i and the age a, so the
     nonzero weights of substep k are the first w_k of its row, and no
-    aged row is wider than the age-1 row.  A chunk multiplies and sums the
-    first w columns, w that of its youngest aged row, and an interval
-    closes by adding its running sum onto its last fine increment, whose
-    weight is exp(0) = 1.  The skipped products are exact zeros, so the
-    values are those of the full sum bit for bit whenever that last
-    increment is nonzero.
+    aged row is wider than the age-1 row.  The rows of a run in one
+    interval multiply and sum their first w columns, w that of their
+    youngest aged row, and an interval closes by adding its running sum
+    onto its last fine increment, whose weight is exp(0) = 1.  The skipped
+    products are exact zeros, so the values are those of the full sum bit
+    for bit whenever that last increment is nonzero.
     """
 
     def __init__(self, grid: NoiseGrid, n_modes: int, n_steps: int):
@@ -196,41 +197,39 @@ class Coarsener:
         self.substeps = _substeps(grid, n_modes, n_steps)
         self._weights, self._widths = _aged_weights(n_modes, self.substeps, grid.tau_fine)
         self._m_fine = grid.m_fine
-        self._next = 0  # the fine step the next chunk must start at
+        self._next = 0  # the fine step the next run must start at
         self._acc = None  # the running sum of the interval, over its first columns
 
-    def push(self, fine_step_index: int, fine: np.ndarray) -> np.ndarray | None:
-        """Take the fine increments (..., >= n_modes) of one fine step."""
-        return self.push_chunk(fine_step_index, fine[None])
-
-    def push_chunk(self, first: int, fine: np.ndarray) -> np.ndarray | None:
-        """Take the fine increments (C, ..., >= n_modes) of the C fine steps
-        from `first` on, which must lie in one coarse interval."""
-        count = len(fine)
+    def push_chunk(self, first: int, fine: np.ndarray) -> np.ndarray | list[np.ndarray]:
+        """Take the fine increments (C, ..., >= n_modes) of the C >= 1 fine
+        steps from `first` on; return the increments of each coarse interval
+        they close, in time order: at one substep per interval, the C rows
+        themselves as a view."""
         if first != self._next:
             raise ValueError(f"expected fine step {self._next}, got {first}")
-        j = first % self.substeps
-        if j + count > self.substeps:
-            raise ValueError(f"fine steps {first} to {first + count - 1} cross the end "
-                             f"of a coarse interval of {self.substeps}")
-        self._next = (first + count) % self._m_fine  # a full pass starts the next at 0
+        self._next = (first + len(fine)) % self._m_fine  # a full pass starts the next at 0
         if self.substeps == 1:
-            return fine[0, ..., : self.n_modes]  # its one weight is exp(0) = 1 exactly
-        closes = j + count == self.substeps
-        aged = count - closes  # the chunk's rows before the interval's last
-        if aged:
-            width = self._widths[j + aged - 1]  # the youngest row is the widest
-            weights = self._weights[j : j + aged, :width]
-            part = weights.reshape((aged,) + (1,) * (fine.ndim - 2) + (width,)) \
-                * fine[:aged, ..., :width]
-            if j:
-                part[0, ..., : self._acc.shape[-1]] += self._acc
-            self._acc = _time_sum(part)
-        if not closes:
-            return None
-        out = fine[-1, ..., : self.n_modes].copy()
-        out[..., : self._acc.shape[-1]] += self._acc
-        return out
+            return fine[..., : self.n_modes]  # each one weight is exp(0) = 1 exactly
+        closed = []
+        j = first % self.substeps
+        while len(fine):
+            count = min(len(fine), self.substeps - j)  # the rows in this interval
+            closes = j + count == self.substeps
+            aged = count - closes  # the rows before the interval's last
+            if aged:
+                width = self._widths[j + aged - 1]  # the youngest row is the widest
+                weights = self._weights[j : j + aged, :width]
+                part = weights.reshape((aged,) + (1,) * (fine.ndim - 2) + (width,)) \
+                    * fine[:aged, ..., :width]
+                if j:
+                    part[0, ..., : self._acc.shape[-1]] += self._acc
+                self._acc = _time_sum(part)
+            if closes:
+                out = fine[count - 1, ..., : self.n_modes].copy()
+                out[..., : self._acc.shape[-1]] += self._acc
+                closed.append(out)
+            fine, j = fine[count:], 0
+        return closed
 
 
 def _time_sum(part: np.ndarray) -> np.ndarray:
@@ -329,12 +328,7 @@ class NoiseRealization:
 
     def increments(self, n_modes: int, n_steps: int) -> np.ndarray:
         """Increment matrix for a path at (n_modes, n_steps), shape (M, N)."""
-        coarsener = Coarsener(self.grid, n_modes, n_steps)
-        sub, fine = coarsener.substeps, self.fine_matrix
-        out = np.empty((n_steps, n_modes))
-        for k in range(n_steps):
-            out[k] = coarsener.push_chunk(k * sub, fine[k * sub : (k + 1) * sub])
-        return out
+        return np.array(Coarsener(self.grid, n_modes, n_steps).push_chunk(0, self.fine_matrix))
 
 
 def _substeps(grid: NoiseGrid, n_modes: int, n_steps: int) -> int:

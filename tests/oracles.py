@@ -5,8 +5,9 @@ the cubic expansion works with the product-to-sum identity for sines, the
 quadrature helpers sum grid values directly, the coarse noise increments
 are summed mode by mode with scalar weights (or, to check the library's
 sums bit for bit, as every product of a given weight table in time order),
-the slope oracle goes through numpy's polynomial fit, and the keyed
-normals come from a fresh Philox generator per draw.
+the slope oracle goes through numpy's polynomial fit, the keyed normals
+come from a fresh Philox generator per draw, and the moments of the
+Ornstein-Uhlenbeck tail are plain sums of the mode variances they are given.
 """
 
 import math
@@ -137,6 +138,17 @@ def dense_time_sums(weights: np.ndarray, fine: np.ndarray) -> np.ndarray:
             acc = acc + weights[k] * fine[first + k]
         out.append(acc)
     return np.stack(out)
+
+
+def ou_tail_moments(variances: np.ndarray, n_modes: int) -> tuple[float, float]:
+    """Mean and variance of sum_{i > N} v_i Z_i^2, Z_i independent standard normals.
+
+    `variances` holds v_1 .. v_ref.  Each v_i Z_i^2 has mean v_i and
+    variance 2 v_i^2, so the tail over modes N + 1 .. ref has mean sum v_i
+    and variance 2 sum v_i^2, both exact.
+    """
+    tail = np.asarray(variances, dtype=np.float64)[n_modes:]
+    return float(tail.sum()), float(2.0 * (tail * tail).sum())
 
 
 def philox_normals(master_seed: int, sample_index: int, fine_step_index: int,

@@ -1,10 +1,12 @@
 import os
+import pickle
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from multiprocessing import get_context
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,8 +64,8 @@ def forked(monkeypatch) -> list[int]:
 
 
 def assert_reaped(pids: list[int]) -> None:
-    # Per pid rather than os.waitpid(-1, ...): a spawn-context pool elsewhere
-    # in the suite leaves multiprocessing's resource tracker as a live child.
+    # Per pid rather than os.waitpid(-1, ...): each child the study forked
+    # must be gone, whatever other children the test process has.
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -470,9 +472,16 @@ class TestBlocks:
                 for first in range(0, 7, size)])
             assert rows.tobytes() == expected.tobytes()
         # The shares of a 2-worker study, each computed in a fresh interpreter.
-        with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
-            rows = np.concatenate(list(pool.map(_study_block, [config] * 2, (0, 4), (4, 3))))
-        assert rows.tobytes() == expected.tobytes()
+        src = str(Path(experiments.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import pickle, sys; from tamedac.experiments import _study_block; "
+                "sys.stdout.buffer.write(_study_block(*pickle.load(sys.stdin.buffer)).tobytes())")
+        shares = [subprocess.run([sys.executable, "-c", code],
+                                 input=pickle.dumps((config, first, count)), capture_output=True,
+                                 env=dict(os.environ, PYTHONPATH=path), timeout=300,
+                                 check=True).stdout
+                  for first, count in ((0, 4), (4, 3))]
+        assert b"".join(shares) == expected.tobytes()
         report = strong_error_study(config, threads=2)
         rms = np.array([p.rms_error for p in report.points])
         assert rms.tobytes() == np.sqrt(expected.mean(axis=0)).tobytes()

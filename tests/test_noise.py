@@ -257,9 +257,10 @@ class TestAggregation:
         assert coarse[5, 1] == pytest.approx(fine, rel=1e-15)
 
     def test_one_substep_coarsener_passes_fine_through(self, double_well):
-        # At the fine step size the one weight is exp(0) = 1: push returns
-        # the first n modes of the fine increments themselves, and stepping
-        # a path with them leaves the fine increments as they were.
+        # At the fine step size the one weight is exp(0) = 1: push_chunk
+        # returns the first n modes of the fine increments themselves, as a
+        # view, and stepping a path with them leaves the fine increments as
+        # they were.
         grid = NoiseGrid(n_modes=12, m_fine=4, tau_fine=1 / 4)
         stream = IncrementStream(grid, 3, [0, 1])
         coarsener = Coarsener(grid, 8, 4)
@@ -267,7 +268,8 @@ class TestAggregation:
         for m in range(4):
             fine = stream.at(m)
             kept = fine.copy()
-            coarse = coarsener.push(m, fine)
+            coarse, = coarsener.push_chunk(m, fine[None])
+            assert np.shares_memory(coarse, fine)
             assert coarse.tobytes() == fine[:, :8].tobytes()
             path.step(coarse)
             assert fine.tobytes() == kept.tobytes()
@@ -276,9 +278,10 @@ class TestAggregation:
         # Unit fine increments make the aggregate e^{-lam tau_f} + 1.
         tau_f = 1 / 4
         coarsener = Coarsener(NoiseGrid(n_modes=3, m_fine=2, tau_fine=tau_f), 3, 1)
-        assert coarsener.push(0, np.ones(3)) is None
+        assert coarsener.push_chunk(0, np.ones((1, 3))) == []
         expected = np.exp(-eigenvalue(3) * tau_f) + 1.0
-        assert coarsener.push(1, np.ones(3))[2] == pytest.approx(expected, rel=1e-14)
+        coarse, = coarsener.push_chunk(1, np.ones((1, 3)))
+        assert coarse[2] == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("i", [1, 4, 32])
     @pytest.mark.parametrize("n_sub", [2, 8, 64])
@@ -319,9 +322,7 @@ class TestAggregation:
         for m in range(ref):
             fine = stream.at(m)
             for coarsener, out in zip(coarseners, streamed):
-                coarse = coarsener.push(m, fine)
-                if coarse is not None:
-                    out.append(coarse.copy())
+                out += [coarse.copy() for coarse in coarsener.push_chunk(m, fine[None])]
         for row, s in enumerate(samples):
             realization = NoiseRealization(grid, 9, s)
             for pair, out in zip(pairs, streamed):
@@ -355,9 +356,8 @@ class TestChunks:
         for size in sizes * 2:
             out = coarsener.push_chunk(first, fine[first:first + size])
             first += size
-            assert (out is None) == (first % 16 != 0)
-            if out is not None:
-                got.append(out.tobytes())
+            assert len(out) == (first % 16 == 0)
+            got += [coarse.tobytes() for coarse in out]
         expected = [row.tobytes() for row in dense_time_sums(weights, fine[..., :n_modes])]
         assert got == expected
 
@@ -385,19 +385,38 @@ class TestChunks:
     def test_coarsener_refuses_a_first_push_mid_interval(self):
         coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
         with pytest.raises(ValueError, match="expected fine step 0, got 1"):
-            coarsener.push(1, np.ones(4))
+            coarsener.push_chunk(1, np.ones((1, 4)))
 
     def test_coarsener_refuses_a_skipped_step(self):
         coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
-        assert coarsener.push(0, np.ones(4)) is None
+        assert coarsener.push_chunk(0, np.ones((1, 4))) == []
         with pytest.raises(ValueError, match="expected fine step 1, got 3"):
-            coarsener.push(3, np.ones(4))
+            coarsener.push_chunk(3, np.ones((1, 4)))
 
-    def test_coarsener_refuses_a_chunk_across_intervals(self):
-        coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
-        assert coarsener.push_chunk(0, np.ones((2, 4))) is None
-        with pytest.raises(ValueError, match="fine steps 2 to 5 cross the end"):
-            coarsener.push_chunk(2, np.ones((4, 4)))
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    @pytest.mark.parametrize("sub", [1, 4, 6, 24])
+    @pytest.mark.parametrize("run", [1, 3, 5, 8, "interval-and-part", "whole"])
+    def test_runs_may_cross_intervals(self, rows, sub, run):
+        # Runs of a fixed length from step 0 on, the last one cut at the end
+        # of the 48-step grid: runs that start and stop mid-interval and
+        # close none, one or several intervals, a whole interval plus half
+        # of the next, and the whole fine matrix at once.  Modes 1..40 at
+        # horizon 1, so the older weight rows of the top modes are zero.
+        grid = NoiseGrid.for_horizon(1.0, 48, 48)
+        size = {"interval-and-part": sub + max(1, sub // 2), "whole": 48}.get(run, run)
+        rng = np.random.default_rng(3)
+        fine = rng.standard_normal((48,) + rows + (48,)) * 10.0 ** rng.integers(-6, 6, 48)
+        weights = convolution_weights(eigenvalues(40), sub, grid.tau_fine)
+        expected = [row.tobytes() for row in dense_time_sums(weights, fine[..., :40])]
+        coarsener = Coarsener(grid, 40, 48 // sub)
+        got = []
+        for first in range(0, 48, size):
+            out = coarsener.push_chunk(first, fine[first:first + size])
+            assert len(out) == min(first + size, 48) // sub - first // sub
+            if sub == 1:
+                assert np.shares_memory(out, fine)
+            got += [coarse.tobytes() for coarse in out]
+        assert got == expected
 
     def test_coarsener_starts_again_after_a_full_pass(self):
         grid = NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1)
@@ -417,17 +436,11 @@ ZERO_WEIGHT_HORIZONS = {"no-zero": 1e-5, "some-zero": 1.0, "few-nonzero": 96.0,
                         "all-zero": 3e3}
 
 
-def pushed_in_chunks(coarsener: Coarsener, fine: np.ndarray, size: int) -> list[bytes]:
-    """The coarse increments of a whole pass, fed in chunks of up to `size`
-    fine steps that stop at the end of each coarse interval."""
-    out, first, sub = [], 0, coarsener.substeps
-    while first < len(fine):
-        count = min(size, sub - first % sub)
-        coarse = coarsener.push_chunk(first, fine[first:first + count])
-        first += count
-        if coarse is not None:
-            out.append(coarse.tobytes())
-    return out
+def pushed_in_runs(coarsener: Coarsener, fine: np.ndarray, size: int) -> list[bytes]:
+    """The coarse increments of a whole pass, fed in runs of `size` fine
+    steps, the last one cut at the end of the pass."""
+    return [coarse.tobytes() for first in range(0, len(fine), size)
+            for coarse in coarsener.push_chunk(first, fine[first:first + size])]
 
 
 class TestZeroWeights:
@@ -452,8 +465,9 @@ class TestZeroWeights:
     @pytest.mark.parametrize("horizon", ZERO_WEIGHT_HORIZONS.values(), ids=ZERO_WEIGHT_HORIZONS)
     def test_equals_dense_time_sum(self, horizon, rows):
         # Fine shapes (C, N), (C, 1, N) and (C, 3, N), magnitudes from 1e-300
-        # on, so products of subnormal weights also underflow; chunks of 1, 2,
-        # 3, 4 and 8 steps and whole intervals, 24 to 1 substeps an interval.
+        # on, so products of subnormal weights also underflow; runs of 1, 2,
+        # 3, 4 and 8 steps, some across interval ends, and whole intervals,
+        # 24 to 1 substeps an interval.
         grid = NoiseGrid.for_horizon(horizon, 24, 1024)
         rng = np.random.default_rng(11)
         fine = rng.standard_normal((24,) + rows + (1024,)) * 10.0 ** rng.integers(-300, 8, 1024)
@@ -465,7 +479,7 @@ class TestZeroWeights:
                             for row in dense_time_sums(weights, fine[..., :n_modes])]
                 coarsener = Coarsener(grid, n_modes, n_steps)
                 for size in (1, 2, 3, 4, 8, sub):
-                    assert pushed_in_chunks(coarsener, fine, size) == expected, \
+                    assert pushed_in_runs(coarsener, fine, size) == expected, \
                         (n_modes, n_steps, size)
 
     def test_temporal_ladder_keeps_only_nonzero_weights(self):
