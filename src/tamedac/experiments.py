@@ -122,10 +122,12 @@ def resolution_pair(mode: str, resolution: int, ref_resolution: int) -> tuple[in
 
 
 def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
-                       samples: range, pairs: list[tuple[int, int]]) -> list[np.ndarray]:
+                       samples: range, pairs: list[tuple[int, int]],
+                       **options) -> list[np.ndarray]:
     """Terminal coefficients, shape (len(samples), N_j), of each (N_j, M_j) pair
     on the samples' noise, streamed on `grid`; consecutive pairs that share a
-    step count are segments of one block.
+    step count are segments of one block, built with the :class:`PathBlock`
+    `options`.
 
     The noise is drawn in chunks of consecutive fine steps, and each block
     in turn takes a chunk through its :class:`Coarsener` and steps once for
@@ -136,7 +138,7 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
     for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
         modes = [n for n, _ in group]
         blocks.append((Coarsener(grid, max(modes), n_steps),
-                       PathBlock.at_initial_data(params, modes, n_steps, samples)))
+                       PathBlock.at_initial_data(params, modes, n_steps, samples, **options)))
     # The chunk divides every substep count, so it closes at most one interval
     # of a coarser block, at its last step: the blocks step in the order of
     # single fine steps, reference first, and a blowup names the same sample,

@@ -16,8 +16,11 @@ error is several times smaller than on the exact grid.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -79,9 +82,14 @@ def eval_poly(params: ModelParams, v):
 class _Segments:
     """Column layout of a block of (N_j, K_j) resolution segments, and the drift's
     workspace for `rows` of them: synthesis inputs, the analysed drift and its norms.
-    Segment j is sampled on the K_j midpoints x_k = (k - 1/2) / K_j."""
+    Segment j is sampled on the K_j midpoints x_k = (k - 1/2) / K_j.
 
-    def __init__(self, pairs: list[tuple[int, int]], rows: tuple[int, ...] = ()):
+    A drift computation uses the workspace only within the call and returns
+    a new array, so every block and drift call of one layout in one thread
+    shares one instance, that of :func:`_shared_segments`.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[int, int]], rows: tuple[int, ...] = ()):
         self.modes, self.sizes = (tuple(v) for v in zip(*pairs))
         self.starts, self.grid_starts = ([0, *accumulate(v)][:-1] for v in (self.modes, self.sizes))
         self.cols = tuple(slice(a, a + n) for a, n in zip(self.starts, self.modes))
@@ -130,6 +138,17 @@ class _Segments:
         for row, col, out in self.products:
             np.matmul(row, col, out=out)
         return np.sqrt(self.norms, out=self.norms)
+
+
+@lru_cache(maxsize=16)
+def _shared_segments(pairs: tuple[tuple[int, int], ...], rows: tuple[int, ...],
+                     thread: int) -> _Segments:
+    """The _Segments of `pairs` for `rows` in one thread, built once and kept.
+
+    The thread is part of the key, so two threads never write one workspace
+    at once; a block looks its workspace up in the thread that steps it.
+    """
+    return _Segments(pairs, rows)
 
 
 def _check(ok: np.ndarray, modes: tuple[int, ...], what: str) -> None:
@@ -216,8 +235,7 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
 def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
                           grid_size: int | None = None) -> SpectralField:
     """Galerkin projection of the drift onto the field's modes."""
-    seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
-    return SpectralField(_drift_raw(params, fld.coeffs, seg))
+    return SpectralField(_drift_raw(params, fld.coeffs, _field_segments(params, fld, grid_size)))
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
@@ -227,5 +245,11 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     The output L2 norm is at most min(||F_N||, 1 / tau), which keeps a
     single explicit step bounded no matter how large the input field is.
     """
-    seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
-    return SpectralField(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))
+    return SpectralField(_drift_raw(params, fld.coeffs, _field_segments(params, fld, grid_size),
+                                    _real("tau", tau, "positive")))
+
+
+def _field_segments(params: ModelParams, fld: SpectralField, grid_size: int | None) -> _Segments:
+    """The shared one-segment workspace of a single field."""
+    pairs = ((fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size)),)
+    return _shared_segments(pairs, (), threading.get_ident())

@@ -26,11 +26,11 @@ split into runs, so both routes give the same values bit for bit.
 Most weights of a fine grid are exact zeros: exp(-lambda_i (t_b - t_{k+1}))
 is 0.0 in float64 once its exponent passes about 745, which at M = N = 1024
 holds for every mode above 278 at every age of one fine step or more.
-:class:`Coarsener` stores and multiplies only the nonzero prefix of each
-weight row.  A skipped product is an exact +-0, which leaves a nonzero
-partial sum as it was, and every sum ends with its last fine increment at
-weight exp(0) = 1, so the coarse increments are those of the full sum bit
-for bit.
+:class:`Coarsener` computes and multiplies only the nonzero prefix of each
+weight row, a run of rows at a time on the run's first use.  A skipped
+product is an exact +-0, which leaves a nonzero partial sum as it was,
+and every sum ends with its last fine increment at weight exp(0) = 1, so
+the coarse increments are those of the full sum bit for bit.
 """
 
 from __future__ import annotations
@@ -179,23 +179,39 @@ class Coarsener:
     :meth:`push_chunk`, a run of consecutive steps at a time.  A run may
     start and stop anywhere inside a coarse interval and span any number of
     them; the call returns the increments of each interval the run closes,
-    the substeps summed in time order.
+    the substeps summed in time order.  A run that would pass the grid's
+    last fine step is refused before any state changes.
 
     Only the nonzero weights are stored and multiplied.  A weight
     exp(-lambda_i tau_f a) falls with the mode i and the age a, so the
     nonzero weights of substep k are the first w_k of its row, and no
-    aged row is wider than the age-1 row.  The rows of a run in one
-    interval multiply and sum their first w columns, w that of their
-    youngest aged row, and an interval closes by adding its running sum
-    onto its last fine increment, whose weight is exp(0) = 1.  The skipped
-    products are exact zeros, so the values are those of the full sum bit
-    for bit whenever that last increment is nonzero.
+    aged row is wider than the age-1 row, whose eigenvalues are all that
+    is kept at construction.  The rows of a run in one interval multiply
+    and sum their first w columns, w that of their youngest aged row, and
+    an interval closes by adding its running sum onto its last fine
+    increment, whose weight is exp(0) = 1.  The skipped products are exact
+    zeros, so the values are those of the full sum bit for bit whenever
+    that last increment is nonzero.
+
+    The weights of a run's aged rows are computed on its first use and
+    kept by (first substep, rows), a slab only as wide as its youngest row.
+    A study feeds runs aligned to its chunk, so each rung keeps one slab
+    per chunk of an interval, about a quarter of the rectangular table at
+    the temporal study's ages, where a row of age a is about 1 / sqrt(a)
+    as wide as the age-1 row.
     """
 
     def __init__(self, grid: NoiseGrid, n_modes: int, n_steps: int):
         self.n_modes = n_modes
         self.substeps = _substeps(grid, n_modes, n_steps)
-        self._weights, self._widths = _aged_weights(n_modes, self.substeps, grid.tau_fine)
+        # tau_f times the age of each substep of an interval, oldest first.
+        self._ages = np.arange(self.substeps - 1, -1, -1, dtype=np.float64) * grid.tau_fine
+        # No aged row is wider than the age-1 row: lambda_1 .. lambda_w, w its width.
+        self._lam = np.empty(0)
+        if self.substeps > 1:
+            lam = eigenvalues(n_modes)
+            self._lam = lam[: _nonzero_width(_decays(self._ages[-2], lam))].copy()
+        self._slabs = {}  # the weights of a run's aged rows, by (first substep, rows)
         self._m_fine = grid.m_fine
         self._next = 0  # the fine step the next run must start at
         self._acc = None  # the running sum of the interval, over its first columns
@@ -207,6 +223,8 @@ class Coarsener:
         themselves as a view."""
         if first != self._next:
             raise ValueError(f"expected fine step {self._next}, got {first}")
+        if first + len(fine) > self._m_fine:
+            raise ValueError(f"step {self._m_fine} outside grid with {self._m_fine} steps")
         self._next = (first + len(fine)) % self._m_fine  # a full pass starts the next at 0
         if self.substeps == 1:
             return fine[..., : self.n_modes]  # each one weight is exp(0) = 1 exactly
@@ -217,8 +235,8 @@ class Coarsener:
             closes = j + count == self.substeps
             aged = count - closes  # the rows before the interval's last
             if aged:
-                width = self._widths[j + aged - 1]  # the youngest row is the widest
-                weights = self._weights[j : j + aged, :width]
+                weights = self._slab(j, aged)
+                width = weights.shape[-1]
                 part = weights.reshape((aged,) + (1,) * (fine.ndim - 2) + (width,)) \
                     * fine[:aged, ..., :width]
                 if j:
@@ -230,6 +248,16 @@ class Coarsener:
                 closed.append(out)
             fine, j = fine[count:], 0
         return closed
+
+    def _slab(self, j: int, aged: int) -> np.ndarray:
+        """Weights of substeps j .. j + aged - 1, shape (aged, width), computed
+        on first use and kept: the rows of convolution_weights cut to the
+        nonzero width of the youngest, which is the widest."""
+        slab = self._slabs.get((j, aged))
+        if slab is None:
+            width = _nonzero_width(_decays(self._ages[j + aged - 1], self._lam))
+            slab = self._slabs[j, aged] = _decays(self._ages[j : j + aged], self._lam[:width])
+        return slab
 
 
 def _time_sum(part: np.ndarray) -> np.ndarray:
@@ -269,34 +297,24 @@ def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float):
 
     Row j is substep j of an interval of R = n_sub, at age R - 1 - j.  In
     float64 a weight is exactly 0.0 once lambda tau_f (R - 1 - j) exceeds
-    about 745; :class:`Coarsener` keeps only the nonzero ones, which leaves
+    about 745.  :class:`Coarsener` computes the same rows, bit for bit, a
+    run's worth at a time and cut to their nonzero columns, which leaves
     its sums unchanged bit for bit.
     """
-    ages = np.arange(n_sub - 1, -1, -1, dtype=np.float64) * tau_fine
-    with np.errstate(over="ignore"):  # where lambda tau_f (R - 1 - j) overflows, 0 is the limit
-        weights = np.multiply.outer(-ages, lam)
+    return _decays(np.arange(n_sub - 1, -1, -1, dtype=np.float64) * tau_fine, lam)
+
+
+def _decays(times: float | np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """exp(-t lambda) for every time t (rows) and eigenvalue lambda (columns)."""
+    with np.errstate(over="ignore"):  # where t lambda overflows, 0 is the limit
+        weights = np.multiply.outer(-times, lam)
         return np.exp(weights, out=weights)
 
 
-def _aged_weights(n_modes: int, n_sub: int, tau_fine: float) -> tuple[np.ndarray, list[int]]:
-    """The rows of convolution_weights at ages n_sub - 1 .. 1, cut to their
-    nonzero block, shape (n_sub - 1, w), and the width of each row.
-
-    A row's width is the index of its last nonzero weight plus 1, at least
-    that of every older row.  The age-1 row is the widest, so the block is
-    built on its w modes, never as the dense (n_sub, n_modes) table.
-    """
-    if n_sub == 1:
-        return np.empty((0, 0)), []
-    lam = eigenvalues(n_modes)
-    nonzero = np.flatnonzero(convolution_weights(lam, 2, tau_fine)[0])
-    if not len(nonzero):
-        return np.empty((n_sub - 1, 0)), [0] * (n_sub - 1)
-    width = nonzero[-1] + 1
-    block = convolution_weights(lam[:width], n_sub, tau_fine)[:-1]
-    nonzero = block != 0
-    last = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    return block, np.maximum.accumulate(last).tolist()
+def _nonzero_width(row: np.ndarray) -> int:
+    """The index of the last nonzero entry of `row` plus 1; 0 if there is none."""
+    nonzero = np.flatnonzero(row)
+    return int(nonzero[-1]) + 1 if len(nonzero) else 0
 
 
 class NoiseRealization:

@@ -18,17 +18,21 @@ the transforms, taming norm and rescaling act per segment, the rest once
 per block.  Rows and segments never interact, so every segment of a row
 equals a one-row, one-segment run bit for bit; :func:`simulate_path` is
 that case, and a single step is a path with n_steps = 1 (horizon_T = tau).
+The drift's workspace is one per layout and thread: blocks with the same
+segments and rows share it, since a step writes it only within the call
+and returns a new drift, so sharing changes no value.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BlowupError, _integer
-from .model import ModelParams, _check, _drift_raw, _resolve_grid, _Segments
+from .model import ModelParams, _check, _drift_raw, _resolve_grid, _Segments, _shared_segments
 from .spectral import (
     SpectralField,
     phi_factors,
@@ -56,6 +60,8 @@ class PathBlock:
     segment of `segments[j]` modes after another (by default a single
     segment), and every segment steps on its own grid as if it were alone.
     `sample_indices` (one per row, or None) labels the rows in blowup errors.
+    A step computes the drift in the workspace of its layout and thread,
+    which every block of that layout stepped in that thread shares.
     """
 
     def __init__(self, params: ModelParams, coeffs: np.ndarray, tau: float,
@@ -69,9 +75,9 @@ class PathBlock:
         self._samples = sample_indices
         # The drift's step size: None turns taming off.
         self._taming = tau if tamed else None
-        # The segments' layout and the drift's workspace, reused by every step.
-        self._segments = _Segments([(n, _resolve_grid(params, n, None)) for n in modes],
-                                   coeffs.shape[:-1])
+        # The segments' (N_j, K_j) and the row shape: the key of the drift's workspace.
+        self._layout = (tuple((n, _resolve_grid(params, n, None)) for n in modes),
+                        coeffs.shape[:-1])
         # Segment j takes the first N_j columns of a step's increments.
         self._noise_cols = (None if len(modes) == 1
                             else np.concatenate([np.arange(n) for n in modes]))
@@ -90,6 +96,12 @@ class PathBlock:
         return cls(params, np.repeat(initial[None, :], len(sample_indices), axis=0),
                    params.horizon_T / _integer("n_steps", n_steps, 1), sample_indices,
                    segments=modes, **options)
+
+    @property
+    def _segments(self) -> _Segments:
+        """The layout and drift workspace of the calling thread, shared with
+        every block of this layout there."""
+        return _shared_segments(*self._layout, threading.get_ident())
 
     def parts(self) -> list[np.ndarray]:
         """The coefficients of every segment, views of shape (S, N_j)."""

@@ -6,8 +6,10 @@ quadrature helpers sum grid values directly, the coarse noise increments
 are summed mode by mode with scalar weights (or, to check the library's
 sums bit for bit, as every product of a given weight table in time order),
 the slope oracle goes through numpy's polynomial fit, the keyed normals
-come from a fresh Philox generator per draw, and the moments of the
-Ornstein-Uhlenbeck tail are plain sums of the mode variances they are given.
+come from a fresh Philox generator per draw, the moments of the
+Ornstein-Uhlenbeck tail are plain sums of the mode variances they are given,
+and those of a linear drift's temporal error are sums over the scalar
+recursion of each mode.
 """
 
 import math
@@ -160,3 +162,36 @@ def philox_normals(master_seed: int, sample_index: int, fine_step_index: int,
     """
     bit_gen = Philox(key=[master_seed, sample_index], counter=int(fine_step_index) << 64)
     return Generator(bit_gen).standard_normal(count)
+
+
+def linear_drift_error_moments(c0: np.ndarray, a1: float, horizon: float, ref: int,
+                               n_steps: int) -> tuple[float, float]:
+    """Mean and variance of ||Y_c - Y_ref||^2 at the horizon for f(v) = a1 v, untamed.
+
+    Both paths keep modes 1..ref from the coefficients `c0`; the reference
+    takes ref steps on the fine increments L_{i,k}, independent N(0, v_i)
+    with v_i = (1 - exp(-2 lambda_i tau_f)) / (2 lambda_i), and the coarse
+    path M = n_steps steps on their split-interval sums.  A step of size tau
+    multiplies mode i by A = exp(-lambda_i tau) + phi_i(tau) a1 and adds its
+    increment, so mode i of Y_c - Y_ref is Gaussian with mean
+    mu_i = (A_c^M - A_f^ref) c0_i and variance s_i^2 = v_i sum_k (g^c_{i,k} -
+    g^ref_{i,k})^2, where g^ref_{i,k} = A_f^(ref - 1 - k) and g^c_{i,k} =
+    A_c^(M - 1 - j) exp(-lambda_i tau_f a) for fine step k at age a in coarse
+    step j.  The modes are independent: the mean is sum mu_i^2 + s_i^2 and
+    the variance sum 2 s_i^4 + 4 mu_i^2 s_i^2, both exact.
+    """
+    c0 = np.pad(np.asarray(c0, dtype=np.float64), (0, ref - len(c0)))
+    lam = (math.pi * np.arange(1, ref + 1)) ** 2
+    tau_f, tau_c, sub = horizon / ref, horizon / n_steps, ref // n_steps
+
+    def amplification(tau):
+        return np.exp(-lam * tau) - np.expm1(-lam * tau) / lam * a1
+
+    a_f, a_c = amplification(tau_f), amplification(tau_c)
+    k = np.arange(ref)
+    g_ref = a_f[:, None] ** (ref - 1 - k)
+    ages = sub - 1 - k % sub
+    g_c = a_c[:, None] ** (n_steps - 1 - k // sub) * np.exp(-np.outer(lam, ages) * tau_f)
+    s2 = -np.expm1(-2.0 * lam * tau_f) / (2.0 * lam) * ((g_c - g_ref) ** 2).sum(axis=1)
+    mu2 = ((a_c ** n_steps - a_f ** ref) * c0) ** 2
+    return float((mu2 + s2).sum()), float((2.0 * s2 * s2 + 4.0 * mu2 * s2).sum())

@@ -502,6 +502,22 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_temporal_blocks_share_one_workspace(self, double_well):
+        # The reference and the six rungs are seven blocks of one layout
+        # (N = 1024, K = 2160, three rows), about 77 kB of drift workspace
+        # each if each kept its own, and each rung keeps only the weight
+        # slabs of its chunks.
+        config = small_config(double_well, mode="temporal",
+                              resolutions=(8, 16, 32, 64, 128, 256), ref_resolution=1024,
+                              samples=3)
+        tracemalloc.start()
+        try:
+            experiments._block_squared_errors(config, range(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
+
 
 class TestFitSlope:
     def test_exact_half_order_data(self):

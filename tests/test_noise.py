@@ -387,6 +387,23 @@ class TestChunks:
         with pytest.raises(ValueError, match="expected fine step 0, got 1"):
             coarsener.push_chunk(1, np.ones((1, 4)))
 
+    @pytest.mark.parametrize("n_steps", [8, 2])
+    def test_coarsener_refuses_a_run_past_the_grid(self, n_steps):
+        # As IncrementStream.chunk refuses such a run, at 1 and 4 substeps,
+        # and before any state changes: the pass then goes on as if the
+        # refused runs had never come, mid-interval too.
+        grid = NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1)
+        realization = NoiseRealization(grid, 2, 0)
+        fine = realization.fine_matrix
+        coarsener = Coarsener(grid, 4, n_steps)
+        with pytest.raises(ValueError, match="^step 8 outside grid with 8 steps$"):
+            coarsener.push_chunk(0, np.ones((12, 4)))
+        got = [coarse.tobytes() for coarse in coarsener.push_chunk(0, fine[:6])]
+        with pytest.raises(ValueError, match="^step 8 outside grid with 8 steps$"):
+            coarsener.push_chunk(6, np.ones((4, 4)))
+        got += [coarse.tobytes() for coarse in coarsener.push_chunk(6, fine[6:])]
+        assert got == [row.tobytes() for row in realization.increments(4, n_steps)]
+
     def test_coarsener_refuses_a_skipped_step(self):
         coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)
         assert coarsener.push_chunk(0, np.ones((1, 4))) == []
@@ -484,19 +501,27 @@ class TestZeroWeights:
 
     def test_temporal_ladder_keeps_only_nonzero_weights(self):
         # The dense (substeps, 1024) weight tables of the six rungs would take
-        # 2.06 MB, that of the 128-substep rung alone 1.05 MB.
+        # 2.06 MB, that of the 128-substep rung alone 1.05 MB.  A full pass in
+        # chunks of 4, as the study feeds them, keeps one slab of weights per
+        # chunk of an interval, each as wide as its youngest row: 0.14 MB.
         ref = 1024
         grid = NoiseGrid.for_horizon(1.0, ref, ref)
         pairs = [resolution_pair("temporal", r, ref) for r in BENCHMARK_LADDERS["temporal"]]
+        fine = np.random.default_rng(2).standard_normal((4, ref))
         tracemalloc.start()
         try:
             coarseners = [Coarsener(grid, *pair) for pair in pairs]
             kept, peak = tracemalloc.get_traced_memory()
+            for first in range(0, ref, 4):
+                for coarsener in coarseners:
+                    coarsener.push_chunk(first, fine)
+            kept_after_pass, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert [c.substeps for c in coarseners] == [128, 64, 32, 16, 8, 4]
         assert kept <= 0.6e6
         assert peak < 1e6
+        assert kept_after_pass <= 0.3e6
 
 
 class TestNoiseRealization:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -447,6 +450,74 @@ class TestSegments:
                 for noise in noises:
                     alone.step(noise[:, :n])
             assert (single.value.step_index, single.value.sample_index) == (2, 6)
+
+
+class TestSharedWorkspace:
+    """Blocks of one layout share one drift workspace per thread, and every
+    step of each equals its run alone bit for bit."""
+
+    MODES = (256, 32, 64)
+    STEPS = 6
+
+    def runs(self, seed, blocks=2):
+        """Rows of MODES for `blocks` blocks, their noises, and their runs alone."""
+        rng = np.random.default_rng(seed)
+        rows = [0.5 * rng.standard_normal((4, sum(self.MODES))) for _ in range(blocks)]
+        noises = [[1e-2 * rng.standard_normal((4, 256)) for _ in range(self.STEPS)]
+                  for _ in rows]
+        alone = [run_block(params_with(), r, 1 / 64, n, segments=self.MODES)
+                 for r, n in zip(rows, noises)]
+        return rows, noises, alone
+
+    def test_alternating_blocks_equal_their_runs_alone(self):
+        # The two blocks step in turn, with a block of another layout
+        # stepping between them, so each step finds the workspace as a
+        # step of another block left it.
+        rows, noises, alone = self.runs(110)
+        blocks = [PathBlock(params_with(), r.copy(), 1 / 64, segments=self.MODES) for r in rows]
+        between = PathBlock(params_with(), np.full((4, 256), 0.3), 1 / 64)
+        assert blocks[0]._segments is blocks[1]._segments
+        assert between._segments is not blocks[0]._segments
+        for k in range(self.STEPS):
+            for block, noise, (states, drifts) in zip(blocks, noises, alone):
+                drift = block.step(noise[k])
+                between.step()
+                assert drift.tobytes() == drifts[k].tobytes()
+                assert block.coeffs.tobytes() == states[k + 1].tobytes()
+
+    def test_blocks_stepped_at_once_in_threads_equal_the_serial_run(self):
+        # Four blocks of one layout, built in this thread, each stepped in a
+        # thread of its own (more threads than cores) with a short switch
+        # interval; every step starts in all threads at once.
+        rows, noises, alone = self.runs(120, blocks=4)
+        blocks = [PathBlock(params_with(), r.copy(), 1 / 64, segments=self.MODES) for r in rows]
+        start = threading.Barrier(len(blocks), timeout=60)
+        stepped = [None] * len(blocks)
+
+        def run(i):
+            out = []
+            for noise in noises[i]:
+                start.wait()
+                out.append((blocks[i].step(noise), blocks[i].coeffs))
+            stepped[i] = out, blocks[i]._segments
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(blocks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        workspaces = [segments for _, segments in stepped]
+        assert len({id(w) for w in workspaces}) == len(blocks)  # one per thread
+        for (out, _), (states, drifts) in zip(stepped, alone):
+            for k, (drift, coeffs) in enumerate(out):
+                assert drift.tobytes() == drifts[k].tobytes()
+                assert coeffs.tobytes() == states[k + 1].tobytes()
 
 
 class TestDstRoutes:
