@@ -26,12 +26,12 @@ import os
 import sys
 
 from .errors import BlowupError, _integer, _real
-from .experiments import MODES, RunConfig, moment_diagnostics, strong_error_study
+from .experiments import (MODES, RunConfig, _coupled_terminals, moment_diagnostics,
+                          strong_error_study)
 from .model import ModelParams
-from .noise import IncrementStream, NoiseGrid
+from .noise import NoiseGrid
 from .reporting import emit_csv, emit_loglog_plot, print_report, write_text
-from .spectral import _synthesize_raw, grid_points
-from .stepper import PathBlock
+from .spectral import _synthesize_raw, grid_points, project
 
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
 # The problem every option left unset takes from the library.
@@ -214,27 +214,25 @@ def _run_simulate(opts: dict) -> int:
     tau = _usage(_real, "horizon / steps", opts["horizon"] / n_steps, "positive")
     _check_writable(opts["out"])
 
-    # The noise grid is the path's own, so its increments stream uncoarsened.
-    noise = IncrementStream(NoiseGrid.for_horizon(opts["horizon"], n_steps, n_modes),
-                            opts["seed"], (0,))
-    path = PathBlock.at_initial_data(params, n_modes, n_steps, (0,))
     # More than n_steps + 1 snapshot times round to every step all the same.
     count = min(opts["snapshots"], n_steps + 1)
-    record = sorted({round(j * n_steps / (count - 1)) for j in range(count)})
-    snapshots = {0: path.coeffs[0]}
-    for m in range(1, n_steps + 1):
-        path.step(noise.at(m - 1))
-        if m in record:
-            snapshots[m] = path.coeffs[0]
+    snapshots = dict.fromkeys(sorted({round(j * n_steps / (count - 1)) for j in range(count)}))
+    snapshots[0] = project(params.initial_data, n_modes).coeffs
+
+    def keep(path, drift):
+        if path.step_index in snapshots:
+            snapshots[path.step_index] = path.coeffs[0]
+
+    # The noise grid is the path's own, so its increments stream uncoarsened.
+    _coupled_terminals(params, NoiseGrid.for_horizon(opts["horizon"], n_steps, n_modes),
+                       opts["seed"], range(1), [(n_modes, n_steps)], observe=keep)
 
     render = 4 * n_modes
     x = grid_points(render)
-    columns = [_synthesize_raw(snapshots[m], render) for m in record]
-    header = "x," + ",".join(f"t={m * tau:.6g}" for m in record)
-    lines = [header]
+    columns = [_synthesize_raw(coeffs, render) for coeffs in snapshots.values()]
+    lines = ["x," + ",".join(f"t={m * tau:.6g}" for m in snapshots)]
     for k in range(render):
-        row = [f"{x[k]:.8g}"] + [f"{col[k]:.8g}" for col in columns]
-        lines.append(",".join(row))
+        lines.append(",".join([f"{x[k]:.8g}"] + [f"{col[k]:.8g}" for col in columns]))
     text = "\n".join(lines) + "\n"
     if opts["out"]:
         write_text(opts["out"], text)

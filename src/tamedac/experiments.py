@@ -14,8 +14,8 @@ closes.  The reference and the rungs that share its step size (every rung
 of the spatial study) are segments of one block; each other rung is a
 block of its own.  No noise matrix is ever materialized, and every
 sample's errors are the same bit for bit whichever block it is computed
-in.  :func:`coupled_terminal` and the moment diagnostics run their paths
-in the same blocks on the same streamed noise.
+in.  `simulate`, `diagnose` and :func:`coupled_terminal` step their paths
+on the same loop, reading each step through an observer.
 
 A study with more than one worker splits its samples into contiguous
 shares: the first is computed in the calling process, each other one in a
@@ -29,7 +29,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from itertools import groupby
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -122,7 +122,8 @@ def resolution_pair(mode: str, resolution: int, ref_resolution: int) -> tuple[in
 
 
 def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
-                       samples: range, pairs: list[tuple[int, int]],
+                       samples: range, pairs: list[tuple[int, int]], *,
+                       observe: Callable | None = None, with_noise: bool = True,
                        **options) -> list[np.ndarray]:
     """Terminal coefficients, shape (len(samples), N_j), of each (N_j, M_j) pair
     on the samples' noise, streamed on `grid`; consecutive pairs that share a
@@ -131,9 +132,11 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
 
     The noise is drawn in chunks of consecutive fine steps, and each block
     in turn takes a chunk through its :class:`Coarsener` and steps once for
-    every coarse interval the chunk closes.
+    every coarse interval the chunk closes (without noise, as often with
+    none).  `observe(path, drift)` is called after every step of every block,
+    so the steps before a blowup have been observed when it is raised.
     """
-    noise = IncrementStream(grid, master_seed, samples)
+    noise = IncrementStream(grid, master_seed, samples) if with_noise else None
     blocks = []
     for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
         modes = [n for n, _ in group]
@@ -145,10 +148,14 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
     # N and step.
     chunk = math.gcd(grid.m_fine, _CHUNK_STEPS, *(c.substeps for c, _ in blocks if c.substeps > 1))
     for first in range(0, grid.m_fine, chunk):
-        fine = noise.chunk(first, chunk)
+        fine = None if noise is None else noise.chunk(first, chunk)
         for coarsener, path in blocks:
-            for increments in coarsener.push_chunk(first, fine):
-                path.step(increments)
+            r = coarsener.substeps
+            for increments in ([None] * ((first + chunk) // r - first // r) if fine is None
+                               else coarsener.push_chunk(first, fine)):
+                drift = path.step(increments)
+                if observe is not None:
+                    observe(path, drift)
     return [part for _, path in blocks for part in path.parts()]
 
 
@@ -366,17 +373,18 @@ def _norm_block(config: RunConfig, n_modes: int, n_steps: int, samples: range,
     the number of paths that blew up.  A block that blows up is rerun one
     sample at a time, and a blown-up path keeps the steps it completed.
     """
-    path = PathBlock.at_initial_data(config.params, n_modes, n_steps, samples, tamed=tamed)
+    norms = []
+
+    def record(path: PathBlock, drift: np.ndarray) -> None:
+        norms.append((_sup_norms(path.coeffs), _row_norms(path.coeffs)[:, 0],
+                      _row_norms(drift)[:, 0]))
+
     # The noise grid is the path's own resolution, so no coarsening is needed.
     grid = NoiseGrid.for_horizon(config.horizon_T, n_steps, n_modes)
-    noise = IncrementStream(grid, config.master_seed, samples) if with_noise else None
-    norms = []
     blowups = 0
     try:
-        for m in range(n_steps):
-            drift = path.step(None if noise is None else noise.at(m))
-            norms.append((_sup_norms(path.coeffs), _row_norms(path.coeffs)[:, 0],
-                          _row_norms(drift)[:, 0]))
+        _coupled_terminals(config.params, grid, config.master_seed, samples, [(n_modes, n_steps)],
+                           observe=record, with_noise=with_noise, tamed=tamed)
     except BlowupError:
         if len(samples) > 1:
             rows = [_norm_block(config, n_modes, n_steps, samples[i:i + 1], tamed, with_noise)

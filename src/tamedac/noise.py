@@ -17,8 +17,8 @@ an identity of the integral, not an approximation.  :class:`Coarsener` is
 the one implementation of that sum, with one feeding method: it takes the
 fine increments of any run of consecutive fine steps, in time order,
 weighs the run's rows in each coarse interval in one operation and adds
-them onto the interval's running sum one after another.  The strong-error
-study draws its noise in runs of a few steps (:class:`IncrementStream`);
+them onto the interval's running sum one after another.  Every command
+draws its noise in runs of a few steps (:class:`IncrementStream`);
 :meth:`NoiseRealization.increments` feeds a materialized matrix as one
 run.  A sum is the same sequence of additions however its substeps are
 split into runs, so both routes give the same values bit for bit.
@@ -138,9 +138,8 @@ class NormalStream:
 class IncrementStream:
     """Fine increments of a block of samples, a chunk of fine steps at a time.
 
-    Row r of ``at(m)`` equals row m of the ``fine_matrix`` of sample
-    ``sample_indices[r]`` bit for bit, without materializing that
-    (m_fine, n_modes) matrix.
+    Row r of ``chunk(first, count)[k]`` equals row first + k of the ``fine_matrix`` of
+    sample ``sample_indices[r]`` bit for bit, without materializing that matrix.
     """
 
     def __init__(self, grid: NoiseGrid, master_seed: int, sample_indices):
@@ -165,11 +164,6 @@ class IncrementStream:
                 stream.normals(step, self.grid.n_modes, out=row)
         out *= self._sigma
         return out
-
-    def at(self, fine_step_index: int) -> np.ndarray:
-        """Increments over fine step `fine_step_index`, shape (S, n_modes), in
-        the buffer of :meth:`chunk`."""
-        return self.chunk(fine_step_index, 1)[0]
 
 
 class Coarsener:
@@ -322,7 +316,7 @@ class NoiseRealization:
 
     The full (m_fine, n_modes) increment matrix is materialized lazily and
     reused by every resolution that shares the sample: the per-sample
-    reference route.  The studies and ``coupled_terminal`` draw the same
+    reference route.  Every command and ``coupled_terminal`` draw the same
     values a chunk of fine steps at a time instead (:class:`IncrementStream`);
     both coarsen through :class:`Coarsener`, so both give the same paths bit
     for bit.

@@ -458,12 +458,12 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys):
-        import tamedac.cli as cli
+        import tamedac.stepper as stepper
 
         def never(*args, **kwargs):
             raise AssertionError("the path ran before its output was checked")
 
-        monkeypatch.setattr(cli.PathBlock, "at_initial_data", never)
+        monkeypatch.setattr(stepper.PathBlock, "at_initial_data", never)
         code = main(["simulate", "--resolutions", "8", "--out", str(tmp_path / "no" / "x.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith("I/O error:")

@@ -283,6 +283,66 @@ class TestCoupling:
                                   sample_squared_errors(config, 1))
 
 
+class TestObservedLoop:
+    """The observer and the noise-free run of the one stepping loop."""
+
+    @staticmethod
+    def ladder(mode, ref=64):
+        resolutions = (8, 16, 32) if mode == "temporal" else (4, 8, 16)
+        return [(ref, ref)] + [resolution_pair(mode, r, ref) for r in resolutions]
+
+    @pytest.mark.parametrize("mode", ["joint", "temporal"])
+    def test_observer_leaves_the_terminals_as_they_were(self, double_well, mode):
+        grid = NoiseGrid.for_horizon(1.0, 64, 64)
+        pairs = self.ladder(mode)
+        plain = experiments._coupled_terminals(double_well, grid, 3, range(2, 5), pairs)
+        seen = []
+        observed = experiments._coupled_terminals(
+            double_well, grid, 3, range(2, 5), pairs,
+            observe=lambda path, drift: seen.append(path.coeffs.copy()))
+        assert len(seen) == sum(n_steps for _, n_steps in pairs)
+        for before, after in zip(plain, observed):
+            assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("mode", ["joint", "temporal"])
+    @pytest.mark.parametrize("with_noise", [True, False])
+    def test_observer_sees_every_step_in_fine_step_order(self, double_well, mode, with_noise):
+        ref = 64
+        pairs = self.ladder(mode, ref)
+        calls = []
+
+        def observe(path, drift):
+            assert drift.shape == path.coeffs.shape
+            calls.append((round(double_well.horizon_T / path.tau), path.step_index))
+
+        experiments._coupled_terminals(double_well, NoiseGrid.for_horizon(1.0, ref, ref), 3,
+                                       range(2), pairs, observe=observe, with_noise=with_noise)
+        # One fine step at a time, the reference first: a block of M_j steps
+        # steps when fine step m closes one of its intervals.
+        expected = [(n_steps, (m + 1) * n_steps // ref)
+                    for m in range(ref) for _, n_steps in pairs
+                    if (m + 1) % (ref // n_steps) == 0]
+        assert calls == expected
+        for _, n_steps in pairs:
+            assert sum(block == n_steps for block, _ in calls) == n_steps
+
+    def test_without_noise_each_pair_steps_alone(self, double_well, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a noise-free run built an increment stream")
+
+        monkeypatch.setattr(experiments, "IncrementStream", never)
+        ref = 64
+        pairs = self.ladder("temporal", ref)
+        samples = range(2, 4)
+        engine = experiments._coupled_terminals(double_well, NoiseGrid.for_horizon(1.0, ref, ref),
+                                                3, samples, pairs, with_noise=False)
+        for (n_modes, n_steps), terminals in zip(pairs, engine):
+            alone = PathBlock.at_initial_data(double_well, n_modes, n_steps, samples)
+            for _ in range(n_steps):
+                alone.step(None)
+            assert terminals.tobytes() == alone.coeffs.tobytes()
+
+
 class TestStrongErrorStudy:
     def test_report_shape_and_determinism(self, double_well):
         config = small_config(double_well)

@@ -244,7 +244,7 @@ class TestStreamedNoise:
         grid = NoiseGrid(n_modes=5, m_fine=6, tau_fine=1 / 6)
         stream = IncrementStream(grid, 17, [4, 2])
         for m in range(grid.m_fine):
-            rows = stream.at(m)
+            rows = stream.chunk(m, 1)[0]
             for row, s in zip(rows, (4, 2)):
                 assert row.tobytes() == NoiseRealization(grid, 17, s).fine_matrix[m].tobytes()
 
@@ -266,7 +266,7 @@ class TestAggregation:
         coarsener = Coarsener(grid, 8, 4)
         path = PathBlock.at_initial_data(double_well, 8, 4, [0, 1])
         for m in range(4):
-            fine = stream.at(m)
+            fine = stream.chunk(m, 1)[0]
             kept = fine.copy()
             coarse, = coarsener.push_chunk(m, fine[None])
             assert np.shares_memory(coarse, fine)
@@ -320,7 +320,7 @@ class TestAggregation:
         streamed = [[] for _ in pairs]
         stream = IncrementStream(grid, 9, samples)
         for m in range(ref):
-            fine = stream.at(m)
+            fine = stream.chunk(m, 1)[0]
             for coarsener, out in zip(coarseners, streamed):
                 out += [coarse.copy() for coarse in coarsener.push_chunk(m, fine[None])]
         for row, s in enumerate(samples):
@@ -378,9 +378,6 @@ class TestChunks:
         stream = IncrementStream(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 0, [0])
         with pytest.raises(ValueError, match=f"^step {step} outside grid with 8 steps$"):
             stream.chunk(first, count)
-        if count == 1:
-            with pytest.raises(ValueError, match=f"^step {step} outside grid with 8 steps$"):
-                stream.at(first)
 
     def test_coarsener_refuses_a_first_push_mid_interval(self):
         coarsener = Coarsener(NoiseGrid(n_modes=4, m_fine=8, tau_fine=0.1), 4, 2)

@@ -179,7 +179,7 @@ def stepped_block(params, n_modes, n_steps, seed, samples):
     block = PathBlock.at_initial_data(params, n_modes, n_steps, range(samples))
     states = [block.coeffs]
     for m in range(n_steps):
-        block.step(noise.at(m))
+        block.step(noise.chunk(m, 1)[0])
         states.append(block.coeffs)
     return states
 
@@ -243,7 +243,7 @@ class TestLeanStep:
             for k, (state, drift) in enumerate(zip(states, drifts)):
                 assert state[r].tobytes() == alone[0][k][0].tobytes()
                 assert drift[r].tobytes() == alone[1][k][0].tobytes()
-                # The drift of a single field takes no workspace or bound.
+                # The drift of a single field takes no block workspace and no bound.
                 fld = SpectralField(state[r])
                 exact = (tamed_drift(params, fld, tau) if tamed
                          else nonlinearity_galerkin(params, fld)).coeffs
