@@ -135,13 +135,16 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
     every coarse interval the chunk closes (without noise, as often with
     none).  `observe(path, drift)` is called after every step of every block,
     so the steps before a blowup have been observed when it is raised.
+    Blocks of one layout step in turn in one drift workspace, which lives as
+    long as this call.
     """
     noise = IncrementStream(grid, master_seed, samples) if with_noise else None
-    blocks = []
+    blocks, workspaces = [], {}
     for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
         modes = [n for n, _ in group]
-        blocks.append((Coarsener(grid, max(modes), n_steps),
-                       PathBlock.at_initial_data(params, modes, n_steps, samples, **options)))
+        path = PathBlock.at_initial_data(params, modes, n_steps, samples, **options)
+        path.share_workspace(workspaces)
+        blocks.append((Coarsener(grid, max(modes), n_steps), path))
     # The chunk divides every substep count, so it closes at most one interval
     # of a coarser block, at its last step: the blocks step in the order of
     # single fine steps, reference first, and a blowup names the same sample,
@@ -404,16 +407,19 @@ def moment_diagnostics(config: RunConfig, n_steps: int | None = None, *,
     (n_steps overrides the step count, e.g. to probe large step sizes),
     in blocks of samples.  Blown-up paths are counted rather than
     propagated, so an untamed run reports how many samples diverged.
+    Without noise every sample follows the same path, so one is stepped and
+    its norms and blowup count for all.
     """
     if n_steps is not None:
         n_steps = _integer("n_steps", n_steps, 1)
     reports = []
-    samples = range(config.samples)
+    samples = range(config.samples if with_noise else 1)
+    copies = config.samples // len(samples)
     for r in config.resolutions:
         steps = n_steps if n_steps is not None else r
         blocks = [_norm_block(config, r, steps, samples[i:i + _BLOCK_SAMPLES], tamed, with_noise)
                   for i in samples[::_BLOCK_SAMPLES]]
-        norms = np.concatenate([b for b, _ in blocks], axis=1)
+        norms = np.tile(np.concatenate([b for b, _ in blocks], axis=1), copies)
         sup, l2, drift = norms if norms.size else np.zeros((3, 1))
         reports.append(MomentDiagnostics(
             resolution=r, n_steps=steps, tau=config.horizon_T / steps, samples=config.samples,
@@ -421,7 +427,7 @@ def moment_diagnostics(config: RunConfig, n_steps: int | None = None, *,
             sup_p99=float(np.percentile(sup, 99)),
             l2_max=float(l2.max()), l2_mean=float(l2.mean()),
             l2_p99=float(np.percentile(l2, 99)),
-            max_drift_norm=float(drift.max()), blowups=sum(b for _, b in blocks),
+            max_drift_norm=float(drift.max()), blowups=copies * sum(b for _, b in blocks),
             all_finite=bool(np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))),
         ))
     return tuple(reports)

@@ -16,9 +16,7 @@ error is several times smaller than on the exact grid.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -85,8 +83,11 @@ class _Segments:
     Segment j is sampled on the K_j midpoints x_k = (k - 1/2) / K_j.
 
     A drift computation uses the workspace only within the call and returns
-    a new array, so every block and drift call of one layout in one thread
-    shares one instance, that of :func:`_shared_segments`.
+    a new array, so blocks of one layout that one caller steps in turn can
+    share one instance.  Its owner is whoever built it: a path block keeps
+    its own for its life, a study's stepping loop lends one to all its
+    blocks of a layout for that one run, and a drift of a single field
+    builds one for that call.
     """
 
     def __init__(self, pairs: Sequence[tuple[int, int]], rows: tuple[int, ...] = ()):
@@ -138,17 +139,6 @@ class _Segments:
         for row, col, out in self.products:
             np.matmul(row, col, out=out)
         return np.sqrt(self.norms, out=self.norms)
-
-
-@lru_cache(maxsize=16)
-def _shared_segments(pairs: tuple[tuple[int, int], ...], rows: tuple[int, ...],
-                     thread: int) -> _Segments:
-    """The _Segments of `pairs` for `rows` in one thread, built once and kept.
-
-    The thread is part of the key, so two threads never write one workspace
-    at once; a block looks its workspace up in the thread that steps it.
-    """
-    return _Segments(pairs, rows)
 
 
 def _check(ok: np.ndarray, modes: tuple[int, ...], what: str) -> None:
@@ -235,7 +225,8 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
 def nonlinearity_galerkin(params: ModelParams, fld: SpectralField,
                           grid_size: int | None = None) -> SpectralField:
     """Galerkin projection of the drift onto the field's modes."""
-    return SpectralField(_drift_raw(params, fld.coeffs, _field_segments(params, fld, grid_size)))
+    seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
+    return SpectralField(_drift_raw(params, fld.coeffs, seg))
 
 
 def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
@@ -245,11 +236,5 @@ def tamed_drift(params: ModelParams, fld: SpectralField, tau: float,
     The output L2 norm is at most min(||F_N||, 1 / tau), which keeps a
     single explicit step bounded no matter how large the input field is.
     """
-    return SpectralField(_drift_raw(params, fld.coeffs, _field_segments(params, fld, grid_size),
-                                    _real("tau", tau, "positive")))
-
-
-def _field_segments(params: ModelParams, fld: SpectralField, grid_size: int | None) -> _Segments:
-    """The shared one-segment workspace of a single field."""
-    pairs = ((fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size)),)
-    return _shared_segments(pairs, (), threading.get_ident())
+    seg = _Segments([(fld.n_modes, _resolve_grid(params, fld.n_modes, grid_size))])
+    return SpectralField(_drift_raw(params, fld.coeffs, seg, _real("tau", tau, "positive")))

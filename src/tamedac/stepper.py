@@ -18,21 +18,21 @@ the transforms, taming norm and rescaling act per segment, the rest once
 per block.  Rows and segments never interact, so every segment of a row
 equals a one-row, one-segment run bit for bit; :func:`simulate_path` is
 that case, and a single step is a path with n_steps = 1 (horizon_T = tau).
-The drift's workspace is one per layout and thread: blocks with the same
-segments and rows share it, since a step writes it only within the call
-and returns a new drift, so sharing changes no value.
+Each block builds its drift workspace once and keeps it for its life.  A
+step writes the workspace only within the call and returns a new drift,
+so blocks with the same segments and rows that one caller steps in turn
+may share one (:meth:`PathBlock.share_workspace`) without changing a value.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BlowupError, _integer
-from .model import ModelParams, _check, _drift_raw, _resolve_grid, _Segments, _shared_segments
+from .model import ModelParams, _check, _drift_raw, _resolve_grid, _Segments
 from .spectral import (
     SpectralField,
     phi_factors,
@@ -60,8 +60,8 @@ class PathBlock:
     segment of `segments[j]` modes after another (by default a single
     segment), and every segment steps on its own grid as if it were alone.
     `sample_indices` (one per row, or None) labels the rows in blowup errors.
-    A step computes the drift in the workspace of its layout and thread,
-    which every block of that layout stepped in that thread shares.
+    A step computes the drift in the block's own workspace, built with the
+    block, or in the one it took by :meth:`share_workspace`.
     """
 
     def __init__(self, params: ModelParams, coeffs: np.ndarray, tau: float,
@@ -75,9 +75,10 @@ class PathBlock:
         self._samples = sample_indices
         # The drift's step size: None turns taming off.
         self._taming = tau if tamed else None
-        # The segments' (N_j, K_j) and the row shape: the key of the drift's workspace.
+        # The segments' (N_j, K_j) and the row shape: what a shared workspace must fit.
         self._layout = (tuple((n, _resolve_grid(params, n, None)) for n in modes),
                         coeffs.shape[:-1])
+        self._segments = _Segments(*self._layout)
         # Segment j takes the first N_j columns of a step's increments.
         self._noise_cols = (None if len(modes) == 1
                             else np.concatenate([np.arange(n) for n in modes]))
@@ -97,11 +98,14 @@ class PathBlock:
                    params.horizon_T / _integer("n_steps", n_steps, 1), sample_indices,
                    segments=modes, **options)
 
-    @property
-    def _segments(self) -> _Segments:
-        """The layout and drift workspace of the calling thread, shared with
-        every block of this layout there."""
-        return _shared_segments(*self._layout, threading.get_ident())
+    def share_workspace(self, workspaces: dict) -> None:
+        """Step in the drift workspace that `workspaces` holds for this block's
+        layout, or enter this block's own there.
+
+        Only blocks that are stepped one at a time, never at once, may
+        share a dict: it is the caller's, for as long as it steps them.
+        """
+        self._segments = workspaces.setdefault(self._layout, self._segments)
 
     def parts(self) -> list[np.ndarray]:
         """The coefficients of every segment, views of shape (S, N_j)."""

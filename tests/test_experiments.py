@@ -1,3 +1,4 @@
+import gc
 import os
 import pickle
 import signal
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from tamedac import (
 )
 from tamedac.errors import BlowupError
 from tamedac.experiments import _study_block
+from tamedac.model import _Segments
 from tamedac.spectral import _sup_norms
 from tamedac.stepper import PathBlock
 
@@ -578,6 +581,42 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 1.2e6
 
+    @pytest.mark.parametrize("mode", ["joint", "spatial", "temporal"])
+    def test_a_study_leaves_no_workspace_alive(self, double_well, mode, monkeypatch):
+        # Every drift workspace a study builds belongs to its run and is
+        # freed with it.
+        built = []
+        init = _Segments.__init__
+
+        def record(seg, *args, **kwargs):
+            init(seg, *args, **kwargs)
+            built.append(weakref.ref(seg))
+
+        monkeypatch.setattr(_Segments, "__init__", record)
+        resolutions = (8, 16) if mode == "temporal" else (4, 8)
+        strong_error_study(small_config(double_well, mode=mode, resolutions=resolutions,
+                                        ref_resolution=32, samples=3))
+        gc.collect()
+        assert built
+        assert [ref for ref in built if ref() is not None] == []
+
+    def test_each_run_shares_a_workspace_of_its_own(self, double_well):
+        # The three blocks of N = 64 share one workspace within a run, the
+        # block of N = 4 has another, and no workspace passes to the next run.
+        pairs = [(64, 64), (64, 8), (64, 16), (4, 4)]
+        runs = []
+        for _ in range(2):
+            seen = {}
+            experiments._coupled_terminals(
+                double_well, NoiseGrid.for_horizon(1.0, 64, 64), 3, range(2), pairs,
+                observe=lambda path, drift: seen.setdefault(round(1 / path.tau), path._segments))
+            runs.append(seen)
+        for seen in runs:
+            assert seen[64] is seen[8] is seen[16]
+            assert seen[4] is not seen[64]
+        assert runs[0][64] is not runs[1][64]
+        assert runs[0][4] is not runs[1][4]
+
 
 class TestFitSlope:
     def test_exact_half_order_data(self):
@@ -652,6 +691,27 @@ class TestMomentDiagnostics:
         config = small_config(double_well, resolutions=(8, 16), ref_resolution=32,
                               samples=samples, master_seed=3)
         assert moment_diagnostics(config, **options) == per_sample_moments(config, **options)
+
+    @pytest.mark.parametrize("tamed", [True, False])
+    def test_without_noise_one_row_is_stepped(self, tamed, monkeypatch):
+        # Every sample follows the same noise-free path, so one row is
+        # stepped per resolution; an untamed blowup counts for every sample.
+        params = ModelParams(a3=-1.0, a2=0.0, a1=1.0, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([50.0]))
+        config = RunConfig(mode="joint", resolutions=(8, 16), ref_resolution=32, samples=11,
+                           master_seed=3, horizon_T=1.0, params=params)
+        oracle = per_sample_moments(config, n_steps=4, tamed=tamed, with_noise=False)
+        assert [d.blowups for d in oracle] == ([0, 0] if tamed else [11, 11])
+        rows = []
+        init = PathBlock.__init__
+
+        def record(path, params, coeffs, *args, **kwargs):
+            rows.append(len(coeffs))
+            init(path, params, coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(PathBlock, "__init__", record)
+        assert moment_diagnostics(config, n_steps=4, tamed=tamed, with_noise=False) == oracle
+        assert rows == [1, 1]
 
     def test_mixed_blowups_equal_per_sample_paths(self, double_well, monkeypatch):
         # With the threshold lowered, some samples of a block blow up and

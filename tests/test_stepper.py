@@ -453,8 +453,8 @@ class TestSegments:
 
 
 class TestSharedWorkspace:
-    """Blocks of one layout share one drift workspace per thread, and every
-    step of each equals its run alone bit for bit."""
+    """Blocks of one layout may share one drift workspace while one caller
+    steps them, and every step of each equals its run alone bit for bit."""
 
     MODES = (256, 32, 64)
     STEPS = 6
@@ -470,14 +470,19 @@ class TestSharedWorkspace:
         return rows, noises, alone
 
     def test_alternating_blocks_equal_their_runs_alone(self):
-        # The two blocks step in turn, with a block of another layout
-        # stepping between them, so each step finds the workspace as a
-        # step of another block left it.
+        # The two blocks share one workspace and step in turn, with a block
+        # of another layout stepping between them, so each step finds the
+        # workspace as a step of the other block left it.
         rows, noises, alone = self.runs(110)
         blocks = [PathBlock(params_with(), r.copy(), 1 / 64, segments=self.MODES) for r in rows]
         between = PathBlock(params_with(), np.full((4, 256), 0.3), 1 / 64)
-        assert blocks[0]._segments is blocks[1]._segments
+        own = blocks[0]._segments
+        workspaces = {}
+        for block in blocks + [between]:
+            block.share_workspace(workspaces)
+        assert blocks[0]._segments is blocks[1]._segments is own
         assert between._segments is not blocks[0]._segments
+        assert len(workspaces) == 2
         for k in range(self.STEPS):
             for block, noise, (states, drifts) in zip(blocks, noises, alone):
                 drift = block.step(noise[k])
