@@ -167,6 +167,8 @@ def _check_writable(*paths: str | None) -> None:
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise OSError(f"cannot write {path}: not a file in a writable directory")
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise OSError(f"cannot write {path}: the file is not writable")
 
 
 def _usage(check, *args, **kwargs):

@@ -126,10 +126,10 @@ class _Segments:
         """Each segment's first N_j analysed modes of the midpoint values `q` (which
         it overwrites), in the drift buffer: its DST-II divided by sqrt(2) K_j."""
         if len(self.modes) == 1:
-            q = _dst(q, 2, True)[..., : self.modes[0]]  # the result, in place or not
+            q = _dst(q, 2, True)[..., : self.modes[0]]
         else:
             for grid in self.grids:
-                q[..., grid] = _dst(q[..., grid], 2, True)  # no copy where it ran in place
+                _dst(q[..., grid], 2, True)
             q = np.take(q, self.gather, axis=-1, out=self.drift, mode="clip")
         return np.divide(q, self.divisor, out=self.drift)
 

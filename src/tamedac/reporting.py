@@ -12,10 +12,11 @@ from typing import TextIO
 from .experiments import ErrorPoint, ErrorReport
 
 _FLOAT = "{:.8g}"
+_HEADER = "resolution,rms_error,mc_std_error,samples"
 
 
 def format_csv(report: ErrorReport) -> str:
-    lines = ["resolution,rms_error,mc_std_error,samples"]
+    lines = [_HEADER]
     for p in report.points:
         lines.append(
             f"{p.resolution},{_FLOAT.format(p.rms_error)},"
@@ -37,27 +38,36 @@ def emit_csv(report: ErrorReport, path: str) -> None:
 
 
 def load_error_csv(path: str) -> tuple[list[ErrorPoint], int, float]:
-    """Parse a file written by :func:`emit_csv`; returns (points, samples, slope)."""
+    """Parse a file written by :func:`emit_csv`; returns (points, samples, slope).
+
+    Blank lines and ``#`` lines of other keys are skipped.  A row that is not
+    four numbers, a missing slope footer or mixed sample counts raise ValueError."""
     points: list[ErrorPoint] = []
-    samples = 0
-    slope = math.nan
+    counts: set[int] = set()
+    slope = None
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "resolution,rms_error,mc_std_error,samples":
-            raise ValueError(f"unrecognized header: {header!r}")
-        for line in fh:
+        if header != _HEADER:
+            raise ValueError(f"{path}: unrecognized header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                if key == "fitted_slope":
-                    slope = float(value)
-                continue
-            res, rms, se, n = line.split(",")
-            points.append(ErrorPoint(int(res), float(rms), float(se)))
-            samples = int(n)
-    return points, samples, slope
+            try:
+                if line.startswith("#"):
+                    key, _, value = line.lstrip("# ").partition("=")
+                    if key == "fitted_slope":
+                        slope = float(value)
+                elif line:
+                    res, rms, se, n = line.split(",")
+                    points.append(ErrorPoint(int(res), float(rms), float(se)))
+                    counts.add(int(n))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected four numbers ({_HEADER}),"
+                                 f" got {line!r}") from None
+    if slope is None:
+        raise ValueError(f"{path}: no '# fitted_slope=' footer")
+    if len(counts) > 1:
+        raise ValueError(f"{path}: rows of different sample counts {sorted(counts)}")
+    return points, counts.pop() if counts else 0, slope
 
 
 def _svg_text(report: ErrorReport) -> str:

@@ -115,12 +115,13 @@ BOUNDARY_CASES = (
     + [(*entry, v) for entry in STEP_SIZES for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)
        if not (entry[1] == "t" and v == 0)]
     + [(*entry, v) for entry in COEFFICIENTS
-       for v in (np.nan, np.inf, -np.inf, True, "x", *((0.0, 1.0) if entry[1] == "a3" else ()))]
+       for v in (np.nan, np.inf, -np.inf, True, "x", 10 ** 400,
+                 *((0.0, 1.0) if entry[1] == "a3" else ()))]
 )
 
 
 @pytest.mark.parametrize("entry, field, call, value", BOUNDARY_CASES,
-                         ids=[f"{entry}-{field}-{value!r}"
+                         ids=[f"{entry}-{field}-{value!r:.20}"
                               for entry, field, _, value in BOUNDARY_CASES])
 def test_out_of_contract_arguments_name_their_field(entry, field, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be "):

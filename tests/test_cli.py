@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -10,6 +11,8 @@ from tamedac import ErrorPoint, ErrorReport, load_error_csv
 from tamedac.cli import main, parse_options
 from tamedac.errors import BlowupError
 from tamedac.reporting import emit_csv, emit_loglog_plot, format_csv
+
+CSV_HEADER = "resolution,rms_error,mc_std_error,samples\n"
 
 
 def make_report(points=None, slope=0.494, residual=0.017) -> ErrorReport:
@@ -302,6 +305,31 @@ class TestCsv:
             assert parsed.rms_error == float(f"{original.rms_error:.8g}")
             assert parsed.mc_std_error == float(f"{original.mc_std_error:.8g}")
 
+    def test_blank_lines_and_unknown_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "errors.csv"
+        lines = format_csv(make_report()).split("\n")
+        path.write_text("\n".join(lines[:2] + ["", "# against=next"] + lines[2:]) + "\n")
+        points, samples, slope = load_error_csv(str(path))
+        assert len(points) == 6 and samples == 200 and slope == 0.494
+
+    @pytest.mark.parametrize("text, message", [
+        ("resolution,rms,se,samples\n4,0.1,0.01,5\n# fitted_slope=0.5\n",
+         r"errors\.csv: unrecognized header"),
+        (CSV_HEADER + "4,0.1\n# fitted_slope=0.5\n", r"errors\.csv:2: expected four numbers"),
+        (CSV_HEADER + "4,0.1,0.01,five\n# fitted_slope=0.5\n",
+         r"errors\.csv:2: expected four numbers"),
+        (CSV_HEADER + "4,0.1,0.01,5\n\n# fitted_slope=half\n",
+         r"errors\.csv:4: expected four numbers"),
+        (CSV_HEADER + "4,0.1,0.01,5\n8,0.05,0.005,5\n", r"errors\.csv: no '# fitted_slope=' footer"),
+        (CSV_HEADER + "4,0.1,0.01,5\n8,0.05,0.005,6\n# fitted_slope=0.5\n",
+         r"errors\.csv: rows of different sample counts \[5, 6\]"),
+    ], ids=["header", "two-fields", "not-a-number", "bad-footer", "no-footer", "mixed-samples"])
+    def test_rejects_what_format_csv_never_writes(self, tmp_path, text, message):
+        path = tmp_path / "errors.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_error_csv(str(path))
+
 
 class TestSvg:
     def test_structure(self, tmp_path):
@@ -366,6 +394,24 @@ class TestConvergeCommand:
                 assert main(self.BASE + [flag, str(target)]) == 3
                 assert capsys.readouterr().err.startswith("I/O error:")
         assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_existing_unwritable_output_is_io_error(self, flag, tmp_path, monkeypatch, capsys):
+        import tamedac.cli as cli
+
+        def never(config, threads=1):
+            raise AssertionError("the study ran before its output was checked")
+
+        # Mode bits do not bind a superuser, so the denial is patched in.
+        target = tmp_path / "locked.csv"
+        target.write_text("kept\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            str(path) != str(target) and access(path, mode, **kw)))
+        monkeypatch.setattr(cli, "strong_error_study", never)
+        assert main(self.BASE + [flag, str(target)]) == 3
+        assert capsys.readouterr().err.startswith(f"I/O error: cannot write {target}")
+        assert target.read_text() == "kept\n"
 
     @pytest.mark.parametrize("plot", ["same.csv", "./same.csv", "sub/../same.csv"])
     def test_out_and_plot_on_one_file_rejected(self, plot, tmp_path, monkeypatch, capsys):

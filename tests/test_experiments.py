@@ -130,6 +130,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             small_config(double_well, resolutions=(8, 4))
 
+    def test_rejects_empty_resolutions(self, double_well):
+        with pytest.raises(ValueError, match="resolutions must be non-empty"):
+            small_config(double_well, resolutions=())
+
     def test_rejects_bad_samples_and_mode(self, double_well):
         with pytest.raises(ValueError):
             small_config(double_well, samples=0)
@@ -179,6 +183,10 @@ class TestResolutionPair:
 
     def test_temporal(self):
         assert resolution_pair("temporal", 8, 64) == (64, 8)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'sideways'"):
+            resolution_pair("sideways", 8, 64)
 
 
 def matrix_route_errors(config: RunConfig, sample_index: int) -> np.ndarray:

@@ -25,7 +25,6 @@ from tamedac import (
 from tamedac.errors import ResolutionError
 from tamedac.spectral import (
     _dst,
-    _dst_route,
     _pocketfft_dst,
     _row_norms,
     _sup_norms,
@@ -199,16 +198,26 @@ DST_SIZES = [1, 2, 9, 39, 319, 2559]
 MIDPOINT_SIZES = [3, 36, 64, 270, 2160, 2 * 1031]
 
 
-@pytest.fixture(scope="module")
-def public_dst(tmp_path_factory):
-    """The fallback route, as taken when the extension file is not found."""
-    return _dst_route(str(tmp_path_factory.mktemp("no_scipy")))
-
-
 class TestDst1:
-    def test_extension_is_loaded_directly(self, tmp_path):
-        assert _pocketfft_dst(find_spec("scipy").submodule_search_locations[0]) is not None
-        assert _pocketfft_dst(str(tmp_path)) is None
+    def test_extension_is_loaded_directly(self):
+        assert callable(_pocketfft_dst(find_spec("scipy").submodule_search_locations[0]))
+
+    def test_missing_extension_fails_naming_the_directory(self, tmp_path):
+        with pytest.raises(ImportError) as info:
+            _pocketfft_dst(str(tmp_path))
+        assert repr(str(tmp_path)) in str(info.value)
+
+    def test_missing_scipy_fails_at_import(self):
+        out = run_fresh(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "try:\n"
+            "    import tamedac\n"
+            "except ImportError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        assert out.startswith("ImportError scipy's pocketfft extension")
+        assert "'<no scipy>'" in out
 
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("k", DST_SIZES)
@@ -216,27 +225,21 @@ class TestDst1:
         x = np.random.default_rng(k).standard_normal((rows, k))
         expected = dst(x, type=1)
         assert np.array_equal(_dst(x, 1), expected)
-        assert np.array_equal(_dst(x, 1, overwrite=True), expected)
-
-    @pytest.mark.parametrize("overwrite", [False, True])
-    @pytest.mark.parametrize("rows", [1, 3, 8])
-    @pytest.mark.parametrize("k", DST_SIZES)
-    def test_fallback_equals_direct_route(self, public_dst, k, rows, overwrite):
-        x = np.random.default_rng(k + rows).standard_normal((rows, k))
-        direct = _dst(x.copy(), 1, overwrite)
-        assert np.array_equal(public_dst(x.copy(), 1, overwrite), direct)
+        assert _dst(x, 1, overwrite=True) is x
+        assert np.array_equal(x, expected)
 
     @pytest.mark.parametrize("kind", [2, 3])
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("k", MIDPOINT_SIZES)
-    def test_midpoint_types_on_every_route(self, public_dst, k, rows, kind):
-        # The drift's DST-II and DST-III, direct or fallback, in place or
-        # not, give the public scipy.fft.dst bit for bit.
+    def test_midpoint_types_on_every_route(self, k, rows, kind):
+        # The drift's DST-II and DST-III, in place or not, give the public
+        # scipy.fft.dst bit for bit; in place, into the array passed.
         x = np.random.default_rng(k + rows + kind).standard_normal((rows, k))
         expected = dst(x, type=kind)
-        for route in (_dst, public_dst):
-            for overwrite in (False, True):
-                assert np.array_equal(route(x.copy(), kind, overwrite), expected)
+        assert np.array_equal(_dst(x, kind), expected)
+        work = x.copy()
+        assert _dst(work, kind, True) is work
+        assert np.array_equal(work, expected)
 
     def test_converge_never_imports_scipy_fft(self):
         out = run_fresh(
