@@ -224,10 +224,11 @@ def _fork_share(config: RunConfig, first: int, count: int) -> tuple[int, BinaryI
     read, write = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(read)
         os.close(write)
-        raise
+        raise OSError(exc.errno, f"cannot start the process for samples {first} .. "
+                      f"{first + count - 1}: {exc.strerror}") from exc
     if pid:
         os.close(write)
         return pid, os.fdopen(read, "rb")

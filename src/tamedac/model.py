@@ -25,15 +25,11 @@ import numpy as np
 from .errors import BlowupError, ResolutionError, _integer, _real
 from .spectral import SQRT2, SpectralField, _dst, _smooth_size, dealias_grid_size
 
-# Grid amplitudes beyond this, divided by |a3|^(1/3) when |a3| > 1, are
-# cubed in rescaled arithmetic.  The rescaled cubic then stays below 1e120,
-# which keeps it and the sum of squares inside its L2 norm (1e240) far from
-# float64 overflow.
-_SCALE_LIMIT = 1e40
-# Projected drifts whose largest coefficient stays below this have a sum of
-# squares below N * 1e280, so their plain L2 norm cannot overflow.
-_NORM_LIMIT = 1e140
-# Below this step size, tau sqrt(N) _NORM_LIMIT stays finite for every N < 1e16.
+# Grid values of f below this bound every analysed coefficient by sqrt(2) 1e120,
+# which keeps the DST-II and the sum of squares in an L2 norm far from float64
+# overflow.  A tamed segment whose bound on |f| reaches it is scaled first.
+_F_LIMIT = 1e120
+# Below this step size, tau ||q_N|| stays finite for every N < 1e50.
 _TAU_LIMIT = 1e160
 
 
@@ -162,6 +158,11 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     return grid_size
 
 
+def _f_bound(params: ModelParams, v):
+    """max |f| on [-v, v]; a Python float overflows to inf without a warning."""
+    return ((-params.a3 * v + abs(params.a2)) * v + abs(params.a1)) * v + abs(params.a0)
+
+
 def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
                tau: float | None = None, *, peak: float | None = None) -> np.ndarray:
     """Projected drift F_N of every row of `coeffs`, in a new array.
@@ -169,56 +170,54 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
     `seg` lays out the columns of `coeffs`, shape (..., sum N_j), and holds
     the workspace for its rows; each segment of a row is computed on its own
     grid as if it were alone.  With a step size `tau`, the tamed drift
-    F_N / (1 + tau ||F_N||) of each segment instead, computed in rescaled
-    arithmetic where F_N itself would overflow.  Segments that need no
-    rescaling take the same operations with a scale of exactly 1, and the
-    untamed drift is never rescaled.  A stepper passes a bound `peak` on
-    every |coefficient| if it knows one; it does not change the result.
+    F_N / (1 + tau ||F_N||) of each segment instead.  A tamed segment whose
+    bound on |f| over its grid reaches _F_LIMIT is evaluated as f(v) / (c s^3),
+    with c = max(1, max |a_k|) and s = max(1, max |v|) on that grid, so that
+    |f(v) / (c s^3)| <= 4; every other segment takes the same operations with
+    c = s = 1 exactly, and the untamed drift is never scaled.  A bound `peak`
+    on every |coefficient|, if the caller knows one, does not change the result.
     """
     values = seg.synthesized(coeffs)
-    limit = _SCALE_LIMIT / max(1.0, abs(params.a3) ** (1.0 / 3.0))
-    # Block-wide maxima decide the common case in a few calls; written as a
-    # negated <= so that NaN takes the checked branch.  No grid value exceeds
-    # v_max = sqrt(2) N peak, nor a drift coefficient sqrt(2) max |f(v)|,
-    # |v| <= v_max, but for roundoff far inside the 1e-9 margins.
+    # Block-wide maxima decide the common case in a few calls; a NaN fails
+    # each < and so takes the checked branch.  No grid value exceeds
+    # v_max = sqrt(2) N peak but for roundoff far inside its margin.
     v_max = np.inf if peak is None else float(peak * SQRT2 * max(seg.modes) * (1 + 1e-9))
-    if tau is None or v_max < limit or np.abs(values).max() <= limit:
-        inv_cube, q = 1.0, eval_poly(params, values)
+    bounded = (_f_bound(params, v_max) < _F_LIMIT
+               or _f_bound(params, float(np.abs(values).max())) < _F_LIMIT)
+    if bounded or tau is None:
+        inv_scale, q = 1.0, eval_poly(params, values)
     else:
-        # With s = max |v| / limit on a segment's grid and w = v / s the
-        # quantity q = f(v) / s^3 stays representable.  Powers of s are formed
-        # by division so that a huge s underflows to zero instead of raising.
-        scale = np.maximum(np.maximum.reduceat(np.abs(values), seg.grid_starts, axis=-1)
-                           / limit, 1.0)
-        inv_cube = 1.0 / scale / scale / scale
-        scale = np.repeat(scale, seg.sizes, axis=-1)
-        w = values / scale
-        q = ((params.a3 * w + params.a2 / scale) * w + params.a1 / scale / scale) * w \
-            + params.a0 / scale / scale / scale
+        v_seg = np.maximum.reduceat(np.abs(values), seg.grid_starts, axis=-1)
+        with np.errstate(over="ignore"):
+            big = ~(_f_bound(params, v_seg) < _F_LIMIT)
+        c = np.where(big, max(1.0, *map(abs, (params.a3, params.a2, params.a1, params.a0))), 1.0)
+        s = np.where(big, np.maximum(v_seg, 1.0), 1.0)
+        inv_scale = 1.0 / c / s / s / s  # by division: a huge c s^3 underflows, not overflows
+        c, s = (np.repeat(x, seg.sizes, axis=-1) for x in (c, s))
+        w = values / s
+        q = w * (params.a3 / c)  # eval_poly's steps on w, with coefficients a_k / (c s^(3-k))
+        if params.a2:
+            q += params.a2 / c / s
+        q *= w
+        q += params.a1 / c / s / s
+        q *= w
+        if params.a0:
+            q += params.a0 / c / s / s / s
     q_n = seg.analysed(q)
-    f_max = ((-params.a3 * v_max + abs(params.a2)) * v_max + abs(params.a1)) * v_max \
-        + abs(params.a0)
-    if not (SQRT2 * f_max * (1 + 1e-9) < _NORM_LIMIT or np.abs(q_n).max() <= _NORM_LIMIT):
-        q_peak = np.maximum.reduceat(np.abs(q_n), seg.starts, axis=-1)
-        _check(np.isfinite(q_peak), seg.modes, "drift projection produced non-finite coefficients")
-        if tau is not None:
-            # Large drift coefficients can make q_N finite but ||q_N||^2
-            # overflow; dividing numerator and denominator by max |q_N|
-            # keeps both in range.
-            unit = np.where(q_peak > _NORM_LIMIT, q_peak, 1.0)
-            q_n /= seg.spread(unit)
-            inv_cube = inv_cube / unit
+    if not bounded:
+        _check(np.isfinite(np.maximum.reduceat(np.abs(q_n), seg.starts, axis=-1)), seg.modes,
+               "drift projection produced non-finite coefficients")
     if tau is None:
         return q_n.copy()  # the buffer is reused by the next call
-    # F = s^3 q_N, so F / (1 + tau ||F||) = q_N / (s^-3 + tau ||q_N||) exactly.
+    # F = c s^3 q_N, so F / (1 + tau ||F||) = q_N / (1 / (c s^3) + tau ||q_N||) exactly.
     norms = seg.row_norms()
     if tau < _TAU_LIMIT:
-        return np.divide(q_n, seg.spread(norms * tau + inv_cube))
+        return np.divide(q_n, seg.spread(norms * tau + inv_scale))
     # Where tau ||q_N|| overflows, numerator and denominator are divided by tau.
     with np.errstate(over="ignore"):
-        denom = norms * tau + inv_cube
+        denom = norms * tau + inv_scale
     over = denom == np.inf
-    denom[over] = (norms + inv_cube / tau)[over]
+    denom[over] = (norms + inv_scale / tau)[over]
     return np.divide(q_n, seg.spread(denom)) / seg.spread(np.where(over, tau, 1.0))
 
 

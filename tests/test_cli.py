@@ -553,6 +553,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--a3=-1e120", "--resolutions", "8", "--horizon", "1e300",
                      "--out", str(tmp_path / "s.csv")]) == 0
 
+    def test_stdout_equals_the_out_file(self, tmp_path, capsysbinary):
+        argv = ["simulate", "--resolutions", "8", "--steps", "16", "--seed", "5"]
+        out = tmp_path / "path.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_out_of_range_seed_rejected(self, seed, capsys):
         assert main(["simulate", "--resolutions", "8", "--seed", seed]) == 2
@@ -615,3 +623,15 @@ class TestDiagnoseCommand:
     def test_resolutions_must_ascend(self, resolutions, capsys):
         assert main(["diagnose", "--resolutions", resolutions, "--samples", "1"]) == 2
         assert "resolutions must be strictly ascending" in capsys.readouterr().err
+
+
+# Unscaled, a finite drift coefficient this large overflows the analysis DST
+# of the tamed drift; the test configuration makes a RuntimeWarning an error.
+@pytest.mark.parametrize("argv", [
+    "converge --resolutions 4,8 --ref 16 --samples 2 --a1 1e306",
+    "converge --resolutions 4,8 --ref 16 --samples 2 --a0 1.7e308",
+    "simulate --resolutions 8 --steps 4 --a1 1.7e308",
+    "diagnose --resolutions 8 --samples 3 --a2 1e306",
+])
+def test_huge_drift_coefficient_runs(argv, tmp_path):
+    assert main([*argv.split(), "--out", str(tmp_path / "out.csv")]) == 0

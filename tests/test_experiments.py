@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 import pickle
@@ -32,6 +33,7 @@ from tamedac import (
     simulate_path,
     strong_error_study,
 )
+from tamedac.cli import main
 from tamedac.errors import BlowupError
 from tamedac.experiments import _study_block
 from tamedac.model import _Segments
@@ -510,6 +512,32 @@ class TestShares:
         monkeypatch.setattr(experiments, "_study_block", block)
         with pytest.raises(RuntimeError, match=f"samples 4 .. 7 ended with {ending} "):
             strong_error_study(small_config(double_well), threads=2)
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_fork_that_fails_names_its_share(self, double_well, monkeypatch, forked, capsys):
+        # Of the two children a 3-process study of 6 samples forks, the
+        # second cannot start; the first is killed and reaped.
+        fork, calls = os.fork, []
+
+        def second_fails():
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(experiments.os, "fork", second_fails)
+        with pytest.raises(OSError) as info:
+            strong_error_study(small_config(double_well, samples=6), threads=3)
+        assert info.value.errno == errno.EAGAIN
+        assert info.value.strerror == ("cannot start the process for samples 4 .. 5: "
+                                       + os.strerror(errno.EAGAIN))
+        assert len(forked) == 1
+        assert_reaped(forked)
+        forked.clear()
+        assert main(["converge", "--resolutions", "4,8", "--ref", "16", "--samples", "6",
+                     "--threads", "3"]) == 3
+        assert "cannot start the process for samples 4 .. 5" in capsys.readouterr().err
         assert len(forked) == 1
         assert_reaped(forked)
 

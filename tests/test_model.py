@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -306,6 +309,43 @@ class TestTamedDrift:
         block = _drift_raw(params, np.stack([coeffs, small.coeffs]),
                            _Segments([(3, dealias_grid_size(3))], (2,)), tau)
         assert block.tobytes() == np.stack([out.coeffs, plain]).tobytes()
+
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e200])
+    @pytest.mark.parametrize("name, value", [
+        ("a1", 1e306), ("a1", 1.7e308), ("a2", 1e306), ("a2", 1.7e308),
+        ("a0", 1e306), ("a0", 1.7e308), ("a3", -1.7e308),
+    ])
+    def test_huge_coefficient_of_any_term_saturates(self, double_well, name, value, tau):
+        # Unscaled, this one term overflows the analysis DST on a field of
+        # moderate size; the tamed drift must saturate at norm 1 / tau along
+        # the untamed drift of that term alone.
+        fld = SpectralField(np.random.default_rng(8).standard_normal(16))
+        term = dict(a3=-1e-300, a2=0.0, a1=0.0, a0=0.0)
+        term[name] = math.copysign(1.0, value)
+        direction = nonlinearity_galerkin(replace(double_well, **term), fld, 64).coeffs
+        direction = direction / np.linalg.norm(direction)
+        out = tau * tamed_drift(replace(double_well, **{name: value}), fld, tau, 64).coeffs
+        assert np.all(np.isfinite(out))
+        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(out / np.linalg.norm(out) - direction) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e200])
+    def test_scaled_segment_leaves_its_block_alone(self, tau):
+        # Only row 1's N = 4 segment reaches the limit on |f| and is scaled;
+        # every segment of every row equals its drift alone, bit for bit.
+        params = ModelParams(a3=-1.0, a2=0.0, a1=1e306, a0=0.0, horizon_T=1.0,
+                             initial_data=SpectralField([1.0]))
+        modes = (16, 4, 8)
+        rows = 1e-305 * np.random.default_rng(12).standard_normal((3, sum(modes)))
+        rows[1, 16:20] *= 1e305
+        block = _drift_raw(params, rows, _Segments([(n, dealias_grid_size(n)) for n in modes],
+                                                   (3,)), tau)
+        assert np.linalg.norm(tau * block[1, 16:20]) == pytest.approx(1.0, rel=1e-12)
+        edges = np.cumsum((0,) + modes)
+        for row, got in zip(rows, block):
+            for a, b in zip(edges, edges[1:]):
+                alone = tamed_drift(params, SpectralField(row[a:b]), tau).coeffs
+                assert got[a:b].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("a3,huge", [(-1.0, 1e60), (-1e200, 1e50)])
     def test_block_rows_do_not_depend_on_each_other(self, a3, huge):

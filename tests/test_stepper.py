@@ -16,7 +16,7 @@ from tamedac import (
 )
 from tamedac import model, spectral
 from tamedac.errors import BlowupError
-from tamedac.model import _SCALE_LIMIT
+from tamedac.model import _F_LIMIT
 from tamedac.noise import IncrementStream
 from tamedac.spectral import phi_factors, semigroup_factors
 from tamedac.stepper import PathBlock
@@ -320,7 +320,7 @@ class TestLeanStep:
         # values meets the rescaling limit.  With one mode and even content
         # the grid has the point x = 1/2, where that bound is attained.
         params = params_with(a3=-1e120, a2=a2, a0=a0)
-        limit = _SCALE_LIMIT / abs(params.a3) ** (1.0 / 3.0)
+        limit = (_F_LIMIT / abs(params.a3)) ** (1.0 / 3.0)
         signs = np.sign(np.random.default_rng(n_modes).standard_normal((3, n_modes)))
         self.check_steered(params, signs * limit / (SQRT2 * n_modes)
                            * np.array([[side], [1 - 1e-9], [1 + 1e-9]]))
@@ -330,7 +330,7 @@ class TestLeanStep:
         # 3/5), beyond N max|c|: these rows need rescaling although their
         # peak is below limit / N.
         params = params_with(a3=-1e120)
-        limit = _SCALE_LIMIT / abs(params.a3) ** (1.0 / 3.0)
+        limit = (_F_LIMIT / abs(params.a3)) ** (1.0 / 3.0)
         self.check_steered(params, 0.48 * limit * np.array([[1.0, 1.0], [-1.0, 1.0]]))
 
     def test_coefficients_replaced_between_steps(self):
@@ -414,7 +414,7 @@ class TestSegments:
         # rescaling limit; the other segments take the first columns of the
         # same increments.  Later steps take the bound from the step before.
         params = params_with(a3=-1e120)
-        limit = _SCALE_LIMIT / abs(params.a3) ** (1.0 / 3.0)
+        limit = (_F_LIMIT / abs(params.a3)) ** (1.0 / 3.0)
         rng = np.random.default_rng(80)
         modes = (8, 1, 4)
         parts = self.parts(rng, 3, scale=0.1, modes=modes)
