@@ -57,19 +57,22 @@ class ModelParams:
                    initial_data=SpectralField([1.0 / SQRT2]))
 
 
-def eval_poly(params: ModelParams, v):
-    """Evaluate f pointwise by Horner's rule, in one new array; accepts scalars or arrays.
+def eval_poly(params: ModelParams, v, c=1.0, s=1.0):
+    """Evaluate f(s v) / (c s^3) pointwise by Horner's rule, in one new array;
+    v, c and s may be scalars or arrays of one shape.
 
-    A zero a2 or a0 (the double well's) is not added: x + 0.0 is x but for
-    the sign of a zero."""
-    q = v * params.a3
+    The terms run on the coefficients a_k / (c s^(3-k)), so a scale that
+    bounds v and the a_k bounds every term; the default c = s = 1.0 divides
+    exactly and evaluates f itself.  A zero a2 or a0 (the double well's) is
+    not added: x + 0.0 is x but for the sign of a zero."""
+    q = v * (params.a3 / c)
     if params.a2:
-        q += params.a2
+        q += params.a2 / c / s
     q *= v
-    q += params.a1
+    q += params.a1 / c / s / s
     q *= v
     if params.a0:
-        q += params.a0
+        q += params.a0 / c / s / s / s
     return q
 
 
@@ -88,9 +91,9 @@ class _Segments:
 
     def __init__(self, pairs: Sequence[tuple[int, int]], rows: tuple[int, ...] = ()):
         self.modes, self.sizes = (tuple(v) for v in zip(*pairs))
-        self.starts, self.grid_starts = ([0, *accumulate(v)][:-1] for v in (self.modes, self.sizes))
+        self.starts, grid_starts = ([0, *accumulate(v)][:-1] for v in (self.modes, self.sizes))
         self.cols = tuple(slice(a, a + n) for a, n in zip(self.starts, self.modes))
-        self.grids = tuple(slice(a, a + k) for a, k in zip(self.grid_starts, self.sizes))
+        self.grids = tuple(slice(a, a + k) for a, k in zip(grid_starts, self.sizes))
         work = np.zeros(rows + (sum(self.sizes),))
         pads = [work[..., grid] for grid in self.grids]
         # Each segment's zero-padded synthesis input, with its first N_j columns.
@@ -103,7 +106,7 @@ class _Segments:
         if len(self.modes) > 1:
             # Drift column c of segment j is entry c - starts[j] of its analysed grid.
             self.gather = np.arange(sum(self.modes)) + self.spread(
-                np.subtract(self.grid_starts, self.starts))
+                np.subtract(grid_starts, self.starts))
 
     def spread(self, x: np.ndarray) -> np.ndarray:
         """Per-segment values (..., J) over their segments' columns."""
@@ -170,39 +173,33 @@ def _drift_raw(params: ModelParams, coeffs: np.ndarray, seg: _Segments,
     `seg` lays out the columns of `coeffs`, shape (..., sum N_j), and holds
     the workspace for its rows; each segment of a row is computed on its own
     grid as if it were alone.  With a step size `tau`, the tamed drift
-    F_N / (1 + tau ||F_N||) of each segment instead.  A tamed segment whose
-    bound on |f| over its grid reaches _F_LIMIT is evaluated as f(v) / (c s^3),
-    with c = max(1, max |a_k|) and s = max(1, max |v|) on that grid, so that
-    |f(v) / (c s^3)| <= 4; every other segment takes the same operations with
-    c = s = 1 exactly, and the untamed drift is never scaled.  A bound `peak`
-    on every |coefficient|, if the caller knows one, does not change the result.
+    F_N / (1 + tau ||F_N||) of each segment instead.  No grid value of a
+    segment exceeds sqrt(2) N_j m, m the largest |coefficient| of the
+    segment.  A tamed segment whose bound on |f| there reaches _F_LIMIT
+    synthesizes its coefficients divided by s = max(1, m), so that its grid
+    values w stay within sqrt(2) N_j, and :func:`eval_poly` evaluates
+    f(s w) / (c s^3) with c = max(1, max |a_k|); every other segment takes
+    the same operations with c = s = 1 exactly, and the untamed drift is
+    never scaled.  A bound `peak` on every |coefficient|, if the caller
+    knows one, saves the scan of the coefficients and does not change the
+    result.
     """
-    values = seg.synthesized(coeffs)
-    # Block-wide maxima decide the common case in a few calls; a NaN fails
-    # each < and so takes the checked branch.  No grid value exceeds
-    # v_max = sqrt(2) N peak but for roundoff far inside its margin.
-    v_max = np.inf if peak is None else float(peak * SQRT2 * max(seg.modes) * (1 + 1e-9))
-    bounded = (_f_bound(params, v_max) < _F_LIMIT
-               or _f_bound(params, float(np.abs(values).max())) < _F_LIMIT)
+    # The block-wide bound decides the common case in a few calls; a NaN fails
+    # each < and so takes the checked branch.  Roundoff in the synthesis stays
+    # far inside the bound's margin.
+    peak = np.abs(coeffs).max() if peak is None else peak
+    bounded = _f_bound(params, float(peak) * float(SQRT2 * max(seg.modes) * (1 + 1e-9))) < _F_LIMIT
     if bounded or tau is None:
-        inv_scale, q = 1.0, eval_poly(params, values)
+        inv_scale, q = 1.0, eval_poly(params, seg.synthesized(coeffs))
     else:
-        v_seg = np.maximum.reduceat(np.abs(values), seg.grid_starts, axis=-1)
-        with np.errstate(over="ignore"):
-            big = ~(_f_bound(params, v_seg) < _F_LIMIT)
+        m = np.maximum.reduceat(np.abs(coeffs), seg.starts, axis=-1)
+        with np.errstate(over="ignore"):  # the same bound, per segment and row
+            big = ~(_f_bound(params, m * (SQRT2 * np.array(seg.modes) * (1 + 1e-9))) < _F_LIMIT)
         c = np.where(big, max(1.0, *map(abs, (params.a3, params.a2, params.a1, params.a0))), 1.0)
-        s = np.where(big, np.maximum(v_seg, 1.0), 1.0)
+        s = np.where(big, np.maximum(m, 1.0), 1.0)
         inv_scale = 1.0 / c / s / s / s  # by division: a huge c s^3 underflows, not overflows
-        c, s = (np.repeat(x, seg.sizes, axis=-1) for x in (c, s))
-        w = values / s
-        q = w * (params.a3 / c)  # eval_poly's steps on w, with coefficients a_k / (c s^(3-k))
-        if params.a2:
-            q += params.a2 / c / s
-        q *= w
-        q += params.a1 / c / s / s
-        q *= w
-        if params.a0:
-            q += params.a0 / c / s / s / s
+        w = seg.synthesized(coeffs / seg.spread(s))
+        q = eval_poly(params, w, *(np.repeat(x, seg.sizes, axis=-1) for x in (c, s)))
     q_n = seg.analysed(q)
     if not bounded:
         _check(np.isfinite(np.maximum.reduceat(np.abs(q_n), seg.starts, axis=-1)), seg.modes,

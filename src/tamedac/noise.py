@@ -244,9 +244,9 @@ class Coarsener:
         return closed
 
     def _slab(self, j: int, aged: int) -> np.ndarray:
-        """Weights of substeps j .. j + aged - 1, shape (aged, width), computed
-        on first use and kept: the rows of convolution_weights cut to the
-        nonzero width of the youngest, which is the widest."""
+        """Weights exp(-lambda tau_f a) of substeps j .. j + aged - 1 at their
+        ages a, shape (aged, width), computed on first use and kept: every
+        row cut to the nonzero width of the youngest, which is the widest."""
         slab = self._slabs.get((j, aged))
         if slab is None:
             width = _nonzero_width(_decays(self._ages[j + aged - 1], self._lam))
@@ -284,18 +284,6 @@ def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
 def _normal_stream(master_seed: int, sample_index: int, thread: int) -> NormalStream:
     """The NormalStream of (seed, sample) in one thread, kept to save its set-up."""
     return NormalStream(master_seed, sample_index)
-
-
-def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float):
-    """Weights exp(-lambda tau_f (R - 1 - j)) of the split-interval identity.
-
-    Row j is substep j of an interval of R = n_sub, at age R - 1 - j.  In
-    float64 a weight is exactly 0.0 once lambda tau_f (R - 1 - j) exceeds
-    about 745.  :class:`Coarsener` computes the same rows, bit for bit, a
-    run's worth at a time and cut to their nonzero columns, which leaves
-    its sums unchanged bit for bit.
-    """
-    return _decays(np.arange(n_sub - 1, -1, -1, dtype=np.float64) * tau_fine, lam)
 
 
 def _decays(times: float | np.ndarray, lam: float | np.ndarray) -> np.ndarray:

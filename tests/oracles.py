@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own evaluation paths:
 the cubic expansion works with the product-to-sum identity for sines, the
 quadrature helpers sum grid values directly, the coarse noise increments
 are summed mode by mode with scalar weights (or, to check the library's
-sums bit for bit, as every product of a given weight table in time order),
+sums bit for bit, as every product of a given weight table in time order,
+whose rows come from one np.exp over the outer product of ages and
+eigenvalues),
 the slope oracle goes through numpy's polynomial fit, the keyed normals
 come from a fresh Philox generator per draw, the moments of the
 Ornstein-Uhlenbeck tail are plain sums of the mode variances they are given,
@@ -122,6 +124,19 @@ def split_interval_increments(fine: np.ndarray, n_modes: int, n_steps: int,
         weights = np.array([math.exp(-lam * tau_fine * (sub - 1 - k)) for k in range(sub)])
         out[:, i - 1] = fine[:, i - 1].reshape(n_steps, sub) @ weights
     return out
+
+
+def convolution_weights(lam: float | np.ndarray, n_sub: int, tau_fine: float) -> np.ndarray:
+    """Weights exp(-lambda tau_f (R - 1 - j)) of the split-interval identity.
+
+    Row j is substep j of an interval of R = n_sub, at age R - 1 - j, and
+    column i is eigenvalue lambda_i.  In float64 a weight is exactly 0.0
+    once lambda tau_f (R - 1 - j) exceeds about 745; where the product
+    overflows, 0 is the limit.
+    """
+    ages = np.arange(n_sub - 1, -1, -1, dtype=np.float64) * tau_fine
+    with np.errstate(over="ignore"):
+        return np.exp(-np.multiply.outer(ages, lam))
 
 
 def dense_time_sums(weights: np.ndarray, fine: np.ndarray) -> np.ndarray:

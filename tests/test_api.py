@@ -175,7 +175,11 @@ def names_imported_from_package(path: Path, submodules: bool = False) -> set[str
 
 def names_read(path: Path) -> set[str]:
     """Names a module loads, bare or as an attribute."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return names_loaded(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def names_loaded(tree: ast.AST) -> set[str]:
+    """Names a syntax tree loads, bare or as an attribute."""
     return ({node.id for node in ast.walk(tree)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
@@ -225,6 +229,33 @@ def test_every_public_name_has_a_reader():
     for script in ("tests/test_acceptance.py", "perfbench/traced.py"):
         readers |= names_imported_from_package(ROOT / script, submodules=True)
     assert set(tamedac.__all__) - readers == set()
+
+
+def module_level_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The functions, classes and constants a module defines at its top
+    level, each with the statement that defines it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, node) for target in targets for n in ast.walk(target)
+                           if isinstance(n, ast.Name))
+    return defined
+
+
+def test_every_module_level_name_has_a_reader():
+    # A name the package defines is read by the package outside its own
+    # definition, or is public; the tests alone do not keep one.  Dunder
+    # names (__all__, __version__) are read by the import system and tools.
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    statements = [(node, names_loaded(node)) for tree in trees.values() for node in tree.body]
+    unread = {f"{module}::{name}" for module, tree in trees.items()
+              for name, definition in module_level_names(tree).items()
+              if not name.startswith("__") and name not in tamedac.__all__
+              and not any(name in read for node, read in statements if node is not definition)}
+    assert unread == set()
 
 
 # Package modules by file name, test modules by their path from the root.

@@ -249,7 +249,7 @@ class TestTamedDrift:
         # drift saturates at norm 1 / tau along the direction of F_N.
         direction = odd_drift_expansion(np.array([1.0, 1.0, -1.0]), double_well.a3, 0.0)
         direction /= np.linalg.norm(direction)
-        for amplitude in (1e60, 1e150, 1e300):
+        for amplitude in (1e60, 1e150, 1e300, 1.7e308):
             fld = SpectralField([amplitude, amplitude, -amplitude])
             for tau in (1e-3, 0.01, 0.25, 1.0):
                 out = tamed_drift(double_well, fld, tau)
@@ -257,6 +257,11 @@ class TestTamedDrift:
                 norm = np.linalg.norm(out.coeffs)
                 assert norm == pytest.approx(1.0 / tau, rel=1e-9)
                 assert out.coeffs @ direction == pytest.approx(norm, rel=1e-12)
+        # The grid values of this field overflow float64; its scale does not.
+        out = 1e200 * tamed_drift(double_well, fld, 1e200).coeffs
+        assert np.all(np.isfinite(out))
+        assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(out - direction) <= 1e-12
 
     @pytest.mark.parametrize("a3", [-1e200, -1e300])
     def test_huge_coefficient_saturates(self, a3):

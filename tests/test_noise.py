@@ -21,14 +21,18 @@ from tamedac.noise import (
     Coarsener,
     IncrementStream,
     NormalStream,
-    convolution_weights,
     increment_variances,
     step_normals,
 )
 from tamedac.spectral import eigenvalues
 from tamedac.stepper import PathBlock
 
-from oracles import dense_time_sums, philox_normals, split_interval_increments
+from oracles import (
+    convolution_weights,
+    dense_time_sums,
+    philox_normals,
+    split_interval_increments,
+)
 
 # The resolution ladders of the benchmark workloads, at reference 1024.
 BENCHMARK_LADDERS = {
