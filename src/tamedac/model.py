@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlowupError, ResolutionError, _integer, _real
-from .spectral import SQRT2, SpectralField, _dst, _smooth_size, dealias_grid_size
+from .spectral import SQRT2, SpectralField, _dst, _fft_length, dealias_grid_size
 
 # Grid values of f below this bound every analysed coefficient by sqrt(2) 1e120,
 # which keeps the DST-II and the sum of squares in an L2 norm far from float64
@@ -153,7 +153,7 @@ def _resolve_grid(params: ModelParams, n_modes: int, grid_size: int | None) -> i
     if grid_size is None:
         if params.a2 == 0 and params.a0 == 0:
             return dealias_grid_size(n_modes)
-        return _smooth_size(4 * n_modes)
+        return _fft_length(4 * n_modes)
     if _integer("grid_size", grid_size, 1) <= 2 * n_modes:
         raise ResolutionError(
             f"dealiasing grid must have at least {2 * n_modes + 1} points, got {grid_size}"

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import AlignmentError, ResolutionError, _integer, _real
-from .spectral import _phi, eigenvalue, eigenvalues
+from .spectral import _decays, _phi, eigenvalue, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,15 @@ def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
 class NormalStream:
     """The keyed standard normals of one (seed, sample) pair, by fine step.
 
-    The normals of fine step m are the output of Philox with key
-    [master_seed, sample_index] started at counter (0, m, 0, 0), so steps
+    The normals of fine step m are the output of Philox with the uint64 key
+    (master_seed, sample_index) started at counter (0, m, 0, 0), so steps
     live in disjoint counter blocks.  One generator is reused: before every
     draw its counter is set to that value with an empty buffer, the state
     of a fresh generator, at a fraction of a fresh generator's set-up cost.
     """
 
     def __init__(self, master_seed: int, sample_index: int):
-        self._bit_gen = Philox(key=[master_seed, sample_index])
+        self._bit_gen = Philox(key=np.array([master_seed, sample_index], dtype=np.uint64))
         self._generator = Generator(self._bit_gen)
         # A fresh Philox state: counter (0, 0, 0, 0), empty buffer.  Only
         # the step word of this copy, held in lists for a faster setter, changes.
@@ -284,13 +284,6 @@ def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
 def _normal_stream(master_seed: int, sample_index: int, thread: int) -> NormalStream:
     """The NormalStream of (seed, sample) in one thread, kept to save its set-up."""
     return NormalStream(master_seed, sample_index)
-
-
-def _decays(times: float | np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-    """exp(-t lambda) for every time t (rows) and eigenvalue lambda (columns)."""
-    with np.errstate(over="ignore"):  # where t lambda overflows, 0 is the limit
-        weights = np.multiply.outer(-times, lam)
-        return np.exp(weights, out=weights)
 
 
 def _nonzero_width(row: np.ndarray) -> int:

@@ -12,10 +12,11 @@ in one call.  The drift's quadrature (``model``) uses the midpoint grid
 x_k = (k - 1/2) / K instead, where synthesis is a DST-III and analysis a
 DST-II, both real FFTs of length K rather than the DST-I's 2 (K + 1).
 
-The DSTs are scipy's pocketfft extension, loaded straight from its file
-under scipy's install directory (found without importing scipy), so that
-importing this module does not run the ``scipy.fft`` package, whose array-API
-and special-function imports take most of the command line's start-up time.
+The DSTs and the fast FFT lengths (``good_size``) come from scipy's pocketfft
+extension, loaded straight from its file under scipy's install directory
+(found without importing scipy), so that importing this module does not run
+the ``scipy.fft`` package, whose array-API and special-function imports take
+most of the command line's start-up time.
 The module is loaded under its own dotted name but not entered in
 ``sys.modules``; a later ``import scipy.fft`` reuses the same initialised
 extension.  There is no other route: if the file is not there, the import
@@ -100,8 +101,14 @@ def eigenvalue(i: int) -> float:
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
     """Heat semigroup weights exp(-lambda_i t) of modes 1..N at time t >= 0."""
-    with np.errstate(over="ignore"):  # where lambda_i t overflows, exp(-inf) = 0 is the limit
-        return np.exp(-eigenvalues(n_modes) * _real("t", t, "nonnegative"))
+    return _decays(_real("t", t, "nonnegative"), eigenvalues(n_modes))
+
+
+def _decays(times: float | np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """exp(-t lambda) for every time t (rows) and eigenvalue lambda (columns)."""
+    with np.errstate(over="ignore"):  # where t lambda overflows, 0 is the limit
+        weights = np.multiply.outer(-times, lam)
+        return np.exp(weights, out=weights)
 
 
 def phi_factors(n_modes: int, tau: float) -> np.ndarray:
@@ -121,27 +128,28 @@ def _phi(lam, tau: float):
     return np.where(x < np.inf, tau * (-np.expm1(-x) / x), 1.0 / lam)
 
 
-def _pocketfft_dst(scipy_dir: str):
-    """The ``dst`` of scipy's pocketfft extension under `scipy_dir`."""
+def _load_pocketfft(scipy_dir: str):
+    """scipy's pocketfft extension module under `scipy_dir`."""
     for suffix in EXTENSION_SUFFIXES:
         path = os.path.join(scipy_dir, "fft", "_pocketfft", "pypocketfft" + suffix)
         if os.path.isfile(path):
             spec = spec_from_file_location("scipy.fft._pocketfft.pypocketfft", path)
             module = module_from_spec(spec)
             spec.loader.exec_module(module)
-            return module.dst
+            return module
     raise ImportError("scipy's pocketfft extension fft/_pocketfft/pypocketfft<suffix>"
                       f" is not under {scipy_dir!r}")
 
 
 _scipy = find_spec("scipy")
-_pocketfft = _pocketfft_dst(_scipy.submodule_search_locations[0] if _scipy else "<no scipy>")
+_pocketfft = _load_pocketfft(_scipy.submodule_search_locations[0] if _scipy else "<no scipy>")
+_pocketfft_dst, _good_size = _pocketfft.dst, _pocketfft.good_size
 
 
 def _dst(x: np.ndarray, kind: int, overwrite: bool = False) -> np.ndarray:
     """The DST of type 1, 2 or 3 of a float64 array along its last axis; with
     `overwrite`, written into `x`, which is returned."""
-    return _pocketfft(x, kind, (-1,), 0, x if overwrite else None, 1)
+    return _pocketfft_dst(x, kind, (-1,), 0, x if overwrite else None, 1)
 
 
 def _synthesize_raw(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
@@ -149,12 +157,6 @@ def _synthesize_raw(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     work = np.zeros(coeffs.shape[:-1] + (grid_size,))
     np.divide(coeffs, SQRT2, out=work[..., : coeffs.shape[-1]])
     return _dst(work, 1)
-
-
-def _analyze_raw(values: np.ndarray, n_modes: int) -> np.ndarray:
-    spec = _dst(values, 1)[..., :n_modes]
-    spec /= SQRT2 * (values.shape[-1] + 1)
-    return spec
 
 
 def synthesize(fld: SpectralField, grid_size: int) -> GridField:
@@ -179,7 +181,9 @@ def analyze(grid: GridField, n_modes: int) -> SpectralField:
         raise ResolutionError(
             f"cannot extract {n_modes} modes from a grid of size {grid.grid_size}"
         )
-    return SpectralField(_analyze_raw(grid.values, n_modes))
+    spec = _dst(grid.values, 1)[:n_modes]
+    spec /= SQRT2 * (grid.grid_size + 1)
+    return SpectralField(spec)
 
 
 def project(fld: SpectralField, n_target: int) -> SpectralField:
@@ -214,16 +218,14 @@ def _sup_norms(coeffs: np.ndarray) -> np.ndarray:
     return np.abs(_synthesize_raw(coeffs, 4 * coeffs.shape[-1])).max(axis=-1)
 
 
-def _smooth_size(least: int) -> int:
-    """Smallest 2^a 3^b 5^c >= least: a length pocketfft transforms fast."""
-    best, p35 = 1 << (least - 1).bit_length(), 1
-    while p35 < best:
-        p = p35
-        while p < best:
-            best = min(best, p << (-(-least // p) - 1).bit_length())
-            p *= 3
-        p35 *= 5
-    return best
+def _fft_length(least: int) -> int:
+    """Smallest 2^a 3^b 5^c >= least for a grid of n_modes: pocketfft's
+    real-FFT ``good_size``, which refuses a length past its largest FFT."""
+    try:
+        return _good_size(least, True)
+    except (ValueError, OverflowError):  # OverflowError: least >= 2^63, beyond a C ssize_t
+        raise ValueError(f"n_modes must leave a grid pocketfft can transform,"
+                         f" got one of {least} points or more") from None
 
 
 def dealias_grid_size(n_modes: int) -> int:
@@ -234,6 +236,6 @@ def dealias_grid_size(n_modes: int) -> int:
     modes 1..N stay exact if and only if 2K - N > 3N, that is K > 2N (the
     sine-basis form of Orszag's anti-aliasing rule).  K is the smallest
     5-smooth size above 2N, so the DST-II and DST-III of that length run as
-    fast real FFTs (2160 at N = 1024).
+    fast real FFTs (2160 at N = 1024); pocketfft has none past N ~ 8.4e17.
     """
-    return _smooth_size(2 * _integer("n_modes", n_modes, 1) + 1)
+    return _fft_length(2 * _integer("n_modes", n_modes, 1) + 1)

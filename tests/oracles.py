@@ -172,10 +172,12 @@ def philox_normals(master_seed: int, sample_index: int, fine_step_index: int,
                    count: int) -> np.ndarray:
     """The keyed normals of one fine step, drawn from a fresh generator.
 
-    Philox with key [seed, sample] starts at counter (0, step, 0, 0): the
-    step sits in the second 64-bit word of the 256-bit counter.
+    Philox with key words (seed, sample) starts at counter (0, step, 0, 0):
+    the key is the one 128-bit integer with the seed in its low word, and
+    the step sits in the second 64-bit word of the 256-bit counter.
     """
-    bit_gen = Philox(key=[master_seed, sample_index], counter=int(fine_step_index) << 64)
+    bit_gen = Philox(key=(int(sample_index) << 64) | int(master_seed),
+                     counter=int(fine_step_index) << 64)
     return Generator(bit_gen).standard_normal(count)
 
 

@@ -1,10 +1,11 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tamedac import (
@@ -233,6 +234,9 @@ class TestStreamedNoise:
     @given(seed=st.integers(0, 2 ** 64 - 1), sample=st.integers(0, 2 ** 64 - 1),
            steps=st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=4),
            count=st.integers(1, 300), partial=st.integers(0, 9))
+    @example(seed=2 ** 63 + 1, sample=0, steps=[0], count=4, partial=0)
+    @example(seed=2 ** 64 - 1, sample=0, steps=[0], count=4, partial=0)
+    @example(seed=0, sample=2 ** 64 - 1, steps=[2 ** 63], count=4, partial=0)
     def test_stream_equals_step_normals(self, seed, sample, steps, count, partial):
         # The reused generators are left mid-buffer by a partial draw before
         # every step; the reset must still land on a fresh generator's values.
@@ -243,6 +247,19 @@ class TestStreamedNoise:
             step_normals(seed, sample, step + 1, partial + 1)
             assert stream.normals(step, count).tobytes() == expected
             assert step_normals(seed, sample, step, count).tobytes() == expected
+
+    @pytest.mark.parametrize("key, other", [
+        ((2 ** 63 + 1, 0), (2 ** 63 + 2, 0)),
+        ((2 ** 64 - 1, 0), (0, 0)),
+        ((0, 2 ** 63 + 1), (0, 2 ** 63 + 2)),
+        ((0, 2 ** 64 - 1), (0, 0)),
+    ])
+    def test_keys_past_two_to_the_63_keep_their_own_streams(self, key, other):
+        # Every seed and sample index in [0, 2^64) keys its own stream, with
+        # no float64 rounding of the key on the way into Philox.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.array_equal(step_normals(*key, 0, 8), step_normals(*other, 0, 8))
 
     def test_stream_rows_equal_fine_matrix(self):
         grid = NoiseGrid(n_modes=5, m_fine=6, tau_fine=1 / 6)

@@ -2,18 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from importlib.util import find_spec
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.fft import dst
 
 import tamedac
 from tamedac import (
     GridField,
+    ModelParams,
     SpectralField,
     analyze,
     dealias_grid_size,
@@ -23,9 +25,10 @@ from tamedac import (
     synthesize,
 )
 from tamedac.errors import ResolutionError
+from tamedac.model import _resolve_grid
 from tamedac.spectral import (
     _dst,
-    _pocketfft_dst,
+    _load_pocketfft,
     _row_norms,
     _sup_norms,
     eigenvalues,
@@ -88,6 +91,15 @@ class TestSemigroupFactor:
 
     def test_graceful_underflow(self):
         assert np.all(semigroup_factors(100, 100.0) == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1024])
+    @pytest.mark.parametrize("t", [0.0, 5e-324, 1e300])
+    def test_equals_exp_bit_for_bit(self, n, t):
+        # The guarded exponential the coarsener shares: exp(-lambda_i t) itself,
+        # with an overflowing lambda_i t taken to its limit 0.
+        with np.errstate(over="ignore"):
+            expected = np.exp(-eigenvalues(n) * t)
+        assert semigroup_factors(n, t).tobytes() == expected.tobytes()
 
     @given(
         i=st.integers(min_value=1, max_value=64),
@@ -200,11 +212,11 @@ MIDPOINT_SIZES = [3, 36, 64, 270, 2160, 2 * 1031]
 
 class TestDst1:
     def test_extension_is_loaded_directly(self):
-        assert callable(_pocketfft_dst(find_spec("scipy").submodule_search_locations[0]))
+        assert callable(_load_pocketfft(find_spec("scipy").submodule_search_locations[0]).dst)
 
     def test_missing_extension_fails_naming_the_directory(self, tmp_path):
         with pytest.raises(ImportError) as info:
-            _pocketfft_dst(str(tmp_path))
+            _load_pocketfft(str(tmp_path))
         assert repr(str(tmp_path)) in str(info.value)
 
     def test_missing_scipy_fails_at_import(self):
@@ -384,3 +396,28 @@ def test_dealias_grid_size():
     assert dealias_grid_size(16) == 36
     assert dealias_grid_size(1) == 3
     assert dealias_grid_size(3) == 8
+
+
+# Every 5-smooth number up to 2^42, ascending: the oracle of the grid sizes
+# below for every N up to 2^40.
+FIVE_SMOOTH = sorted(2 ** a * 3 ** b * 5 ** c for a in range(43) for b in range(27)
+                     for c in range(19) if 2 ** a * 3 ** b * 5 ** c <= 2 ** 42)
+EVEN_DRIFT = ModelParams(a3=-1.0, a2=0.8, a1=1.0, a0=0.3, horizon_T=1.0,
+                         initial_data=SpectralField([0.5]))
+
+
+@given(n=st.integers(1, 2 ** 40))
+@example(n=2 ** 40)
+def test_grid_sizes_are_the_least_five_smooth(n):
+    # The exact grid: least 5-smooth K > 2N; the even drift's: least K >= 4N.
+    assert dealias_grid_size(n) == FIVE_SMOOTH[bisect_left(FIVE_SMOOTH, 2 * n + 1)]
+    assert _resolve_grid(EVEN_DRIFT, n, None) == FIVE_SMOOTH[bisect_left(FIVE_SMOOTH, 4 * n)]
+
+
+@pytest.mark.parametrize("n", [2 ** 61, 2 ** 62, 2 ** 64 - 1])
+def test_grid_past_the_largest_fft_names_n_modes(n):
+    # pocketfft refuses lengths above about 1.68e18, and past 2^63 a length
+    # does not fit its C argument; both are a ValueError naming the field.
+    for grid in (lambda: dealias_grid_size(n), lambda: _resolve_grid(EVEN_DRIFT, n, None)):
+        with pytest.raises(ValueError, match="^n_modes must "):
+            grid()
