@@ -15,7 +15,7 @@ library's name for their field (``--seed``: master_seed, ``--ref``:
 ref_resolution, ``--steps``: n_steps, ``--horizon``: horizon_T, ``--a3``: a3),
 so a bad value fails with the library's message after ``argument --<flag>:``
 (and ``path:lineno:`` on a config line).
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical blowup.
+Exit codes: 0 success, 2 usage error or out of memory, 3 I/O error, 4 numerical blowup.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         return run[opts["command"]](opts)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
     except BlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)

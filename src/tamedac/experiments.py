@@ -311,7 +311,10 @@ def strong_error_study(config: RunConfig, threads: int = 1) -> ErrorReport:
     mean_sq = squared.mean(axis=0)
     rms = np.sqrt(mean_sq)
     if config.samples > 1:
-        se_mean = squared.std(axis=0, ddof=1) / np.sqrt(config.samples)
+        # Scaled by a power of two per column, exactly, so deviations of 1e-200 do not square to 0.
+        _, exponent = np.frexp(squared.max(axis=0))
+        std = np.ldexp(np.ldexp(squared, -exponent).std(axis=0, ddof=1), exponent)
+        se_mean = std / np.sqrt(config.samples)
     else:
         se_mean = np.zeros_like(mean_sq)
     # Delta method: d sqrt(m) / d m = 1 / (2 sqrt(m)).

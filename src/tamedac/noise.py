@@ -7,6 +7,9 @@ counter-keyed Philox streams, so a value is a pure function of
 (master_seed, sample_index, fine_step_index, mode_index): no state is
 shared, any draw can be reproduced in isolation, and coarse and fine
 resolutions can consume the same underlying randomness without storing it.
+:func:`step_normals` is the one draw, the normals of one fine step;
+:class:`IncrementStream` scales them into increments a chunk of fine steps
+at a time, and :attr:`NoiseRealization.fine_matrix` is one such chunk.
 
 Coarse increments are derived from fine ones exactly: splitting
 [t_a, t_b] into fine substeps,
@@ -95,44 +98,35 @@ def increment_variance(mode_index: int, tau: float) -> float:
     return float(_phi(2.0 * eigenvalue(mode_index), tau))
 
 
-def step_normals(master_seed: int, sample_index: int, fine_step_index: int,
-                 count: int) -> np.ndarray:
-    """First `count` standard normals of the stream keyed by (seed, sample, step).
-
-    Streams for different steps live in disjoint counter blocks, and the
-    first k values of a stream do not depend on how many are requested, so
-    mode i always maps to entry i - 1 regardless of the resolution in use.
-    """
-    stream = _normal_stream(master_seed, sample_index, threading.get_ident())
-    return stream.normals(fine_step_index, count)
-
-
 class NormalStream:
-    """The keyed standard normals of one (seed, sample) pair, by fine step.
-
-    The normals of fine step m are the output of Philox with the uint64 key
-    (master_seed, sample_index) started at counter (0, m, 0, 0), so steps
-    live in disjoint counter blocks.  One generator is reused: before every
-    draw its counter is set to that value with an empty buffer, the state
-    of a fresh generator, at a fraction of a fresh generator's set-up cost.
-    """
+    """The Philox generator of the uint64 key (master_seed, sample_index), and
+    a fresh generator's state whose step word :func:`step_normals` sets."""
 
     def __init__(self, master_seed: int, sample_index: int):
-        self._bit_gen = Philox(key=np.array([master_seed, sample_index], dtype=np.uint64))
-        self._generator = Generator(self._bit_gen)
-        # A fresh Philox state: counter (0, 0, 0, 0), empty buffer.  Only
-        # the step word of this copy, held in lists for a faster setter, changes.
-        fresh = self._bit_gen.state
-        self._counter = fresh["state"]["counter"].tolist()
-        self._state = {**fresh, "buffer": fresh["buffer"].tolist(),
-                       "state": {"counter": self._counter, "key": fresh["state"]["key"].tolist()}}
+        self.bit_gen = Philox(key=np.array([master_seed, sample_index], dtype=np.uint64))
+        self.generator = Generator(self.bit_gen)
+        # Held in lists for a faster setter; only counter[1], the step word, changes.
+        fresh = self.bit_gen.state
+        self.counter = fresh["state"]["counter"].tolist()
+        self.state = {**fresh, "buffer": fresh["buffer"].tolist(),
+                      "state": {"counter": self.counter, "key": fresh["state"]["key"].tolist()}}
 
-    def normals(self, fine_step_index: int, count: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """The first `count` normals of fine step `fine_step_index`."""
-        self._counter[1] = fine_step_index
-        self._bit_gen.state = self._state
-        return self._generator.standard_normal(count, out=out)
+
+def step_normals(stream: NormalStream, fine_step_index: int, count: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """First `count` standard normals of fine step `fine_step_index` of the
+    key of `stream`, written to `out` if given: the one keyed draw.
+
+    The normals of fine step m are the output of Philox started at counter
+    (0, m, 0, 0), so steps live in disjoint counter blocks.  The stream's
+    generator is set to that counter with an empty buffer, the state of a
+    fresh generator, at a fraction of a fresh generator's set-up cost.  The
+    first k values do not depend on how many are requested, so mode i
+    always maps to entry i - 1 regardless of the resolution in use.
+    """
+    stream.counter[1] = fine_step_index
+    stream.bit_gen.state = stream.state
+    return stream.generator.standard_normal(count, out=out)
 
 
 class IncrementStream:
@@ -161,7 +155,7 @@ class IncrementStream:
         out = self._buffer[:count]
         for step, rows in enumerate(out, first):
             for row, stream in zip(rows, self._streams):
-                stream.normals(step, self.grid.n_modes, out=row)
+                step_normals(stream, step, self.grid.n_modes, out=row)
         out *= self._sigma
         return out
 
@@ -275,14 +269,14 @@ def sample_fine_increment(key: NoiseKey, grid: NoiseGrid) -> float:
         raise ValueError(
             f"step {key.fine_step_index} outside grid with {grid.m_fine} steps"
         )
-    z = step_normals(key.master_seed, key.sample_index, key.fine_step_index,
-                     key.mode_index)[-1]
+    stream = _normal_stream(key.master_seed, key.sample_index, threading.get_ident())
+    z = step_normals(stream, key.fine_step_index, key.mode_index)[-1]
     return float(np.sqrt(increment_variance(key.mode_index, grid.tau_fine)) * z)
 
 
 @lru_cache(maxsize=8)
 def _normal_stream(master_seed: int, sample_index: int, thread: int) -> NormalStream:
-    """The NormalStream of (seed, sample) in one thread, kept to save its set-up."""
+    """The NormalStream of (seed, sample) in one thread, kept for sample_fine_increment."""
     return NormalStream(master_seed, sample_index)
 
 
@@ -295,12 +289,13 @@ def _nonzero_width(row: np.ndarray) -> int:
 class NoiseRealization:
     """All fine increments of one Monte Carlo sample, plus exact coarsening.
 
-    The full (m_fine, n_modes) increment matrix is materialized lazily and
-    reused by every resolution that shares the sample: the per-sample
-    reference route.  Every command and ``coupled_terminal`` draw the same
-    values a chunk of fine steps at a time instead (:class:`IncrementStream`);
-    both coarsen through :class:`Coarsener`, so both give the same paths bit
-    for bit.
+    The full (m_fine, n_modes) increment matrix is the sample's
+    :class:`IncrementStream` drawn as one chunk of every fine step,
+    materialized lazily and reused by every resolution that shares the
+    sample: the per-sample reference route.  Every command and
+    ``coupled_terminal`` draw from the same stream a few fine steps at a
+    time instead; both coarsen through :class:`Coarsener`, so both give the
+    same paths bit for bit.
     """
 
     def __init__(self, grid: NoiseGrid, master_seed: int, sample_index: int):
@@ -310,14 +305,10 @@ class NoiseRealization:
 
     @cached_property
     def fine_matrix(self) -> np.ndarray:
-        """Increments at the finest resolution, shape (m_fine, n_modes)."""
+        """Increments at the finest resolution, shape (m_fine, n_modes): one
+        chunk of every fine step of this sample's :class:`IncrementStream`."""
         g = self.grid
-        sig = np.sqrt(increment_variances(g.n_modes, g.tau_fine))
-        out = np.empty((g.m_fine, g.n_modes))
-        for m in range(g.m_fine):
-            out[m] = step_normals(self.master_seed, self.sample_index, m, g.n_modes)
-        out *= sig
-        return out
+        return IncrementStream(g, self.master_seed, [self.sample_index]).chunk(0, g.m_fine)[:, 0]
 
     def increments(self, n_modes: int, n_steps: int) -> np.ndarray:
         """Increment matrix for a path at (n_modes, n_steps), shape (M, N)."""

@@ -474,6 +474,32 @@ class TestConvergeCommand:
         monkeypatch.setattr(cli, "strong_error_study", explode)
         assert main(self.BASE) == 4
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array"),
+         "Unable to allocate 8.00 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_one_line_and_exit_code_2(self, threads, error, message,
+                                                       monkeypatch, capsys):
+        # Only the block of sample 1 fails: in this process at --threads 1,
+        # in the forked share's child at --threads 2.  No real allocation is
+        # made, as an oversized one can succeed under overcommit.
+        import tamedac.experiments as experiments
+        block = experiments._block_squared_errors
+
+        def starved(config, samples):
+            if 1 in samples:
+                raise error
+            return block(config, samples)
+
+        monkeypatch.setattr(experiments, "_block_squared_errors", starved)
+        argv = ["converge", "--resolutions", "2,4", "--ref", "8", "--samples", "2",
+                "--threads", str(threads)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestSimulateCommand:
     def test_snapshot_csv(self, tmp_path):

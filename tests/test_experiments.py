@@ -1,5 +1,6 @@
 import errno
 import gc
+import math
 import os
 import pickle
 import signal
@@ -9,10 +10,13 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tamedac.experiments as experiments
 import tamedac.stepper as stepper
@@ -274,6 +278,27 @@ class TestCoupling:
             assert sample_squared_errors(config, s).tobytes() == \
                 matrix_route_errors(config, s).tobytes()
 
+    @given(data=st.data())
+    def test_pairs_run_together_equal_each_run_alone(self, data):
+        # The coupling contract: one call over any pairs and samples gives
+        # every pair's terminal on every sample as a run of that pair alone.
+        params = ModelParams.cubic_double_well()
+        ref = data.draw(st.sampled_from([8, 16, 32, 64]), label="ref")
+        divisors = [m for m in range(1, ref + 1) if ref % m == 0]
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, ref), st.sampled_from(divisors)),
+                                   min_size=1, max_size=5), label="pairs")
+        first = data.draw(st.integers(0, 2 ** 64 - 5), label="first sample")
+        samples = range(first, first + data.draw(st.integers(1, 4), label="samples"))
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        grid = NoiseGrid.for_horizon(params.horizon_T, ref, ref)
+        together = experiments._coupled_terminals(params, grid, seed, samples, pairs)
+        assert len(together) == len(pairs)
+        for (n_modes, n_steps), terminals in zip(pairs, together):
+            assert terminals.shape == (len(samples), n_modes)
+            for row, s in zip(terminals, samples):
+                alone = coupled_terminal(params, NoiseRealization(grid, seed, s), n_modes, n_steps)
+                assert row.tobytes() == alone.tobytes()
+
     def test_path_at_reference_resolution_is_bit_identical(self, double_well):
         grid = NoiseGrid.for_horizon(1.0, 64, 64)
         realization = NoiseRealization(grid, 3, 0)
@@ -438,6 +463,26 @@ class TestStrongErrorStudy:
         emit_csv(serial, str(tmp_path / "serial.csv"))
         emit_csv(report, str(tmp_path / "threads2.csv"))
         assert (tmp_path / "threads2.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode, horizon", [("joint", 1e-200), ("spatial", 1e-250),
+                                               ("joint", 1.0), ("temporal", 1.0)])
+    def test_mc_std_error_equals_the_exact_value(self, double_well, mode, horizon):
+        # At the tiny horizons the squared errors' deviations square to 0 in
+        # float64; the standard error must still be that of exact arithmetic.
+        config = small_config(double_well, mode=mode, resolutions=(2, 4), ref_resolution=8,
+                              samples=4, horizon_T=horizon,
+                              params=replace(double_well, horizon_T=horizon))
+        report = strong_error_study(config)
+        rows = [sample_squared_errors(config, s) for s in range(config.samples)]
+        n = config.samples
+        for j, point in enumerate(report.points):
+            values = [Fraction(float(row[j])) for row in rows]
+            mean = sum(values) / n
+            variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+            # The delta method's sqrt(variance / n) / (2 sqrt(mean)), squared.
+            expected = math.sqrt(float(variance / (4 * n * mean)))
+            assert point.mc_std_error > 0
+            assert point.mc_std_error == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_nonpositive_threads(self, double_well, threads):

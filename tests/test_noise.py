@@ -45,6 +45,12 @@ BENCHMARK_LADDERS = {
 VAR_MODE1_TAU1 = 0.05066059168563721   # (1 - exp(-2 pi^2)) / (2 pi^2)
 
 
+def oracle_increments(grid: NoiseGrid, seed: int, sample: int, step: int) -> np.ndarray:
+    """The fine increments of one step from a fresh generator, scaled by sigma."""
+    sigma = np.sqrt(increment_variances(grid.n_modes, grid.tau_fine))
+    return philox_normals(seed, sample, step, grid.n_modes) * sigma
+
+
 class TestIncrementVariance:
     def test_mode_one_unit_tau(self):
         assert increment_variance(1, 1.0) == pytest.approx(VAR_MODE1_TAU1, rel=1e-14)
@@ -159,8 +165,9 @@ class TestKeyedSampling:
             assert got == (expected[shift:] + expected[:shift]) * 20
 
     def test_mode_value_independent_of_how_many_are_drawn(self):
-        few = step_normals(9, 4, 11, 3)
-        many = step_normals(9, 4, 11, 64)
+        stream = NormalStream(9, 4)
+        few = step_normals(stream, 11, 3)
+        many = step_normals(stream, 11, 64)
         assert np.array_equal(few, many[:3])
 
     def test_key_validation(self):
@@ -238,15 +245,18 @@ class TestStreamedNoise:
     @example(seed=2 ** 64 - 1, sample=0, steps=[0], count=4, partial=0)
     @example(seed=0, sample=2 ** 64 - 1, steps=[2 ** 63], count=4, partial=0)
     def test_stream_equals_step_normals(self, seed, sample, steps, count, partial):
-        # The reused generators are left mid-buffer by a partial draw before
-        # every step; the reset must still land on a fresh generator's values.
+        # The reused generator is left mid-buffer by a partial draw before
+        # every step; the reset must still land on a fresh generator's values,
+        # returned or written into `out`.
         stream = NormalStream(seed, sample)
         for step in steps:
             expected = philox_normals(seed, sample, step, count).tobytes()
-            stream.normals(step + 1, partial + 1)
-            step_normals(seed, sample, step + 1, partial + 1)
-            assert stream.normals(step, count).tobytes() == expected
-            assert step_normals(seed, sample, step, count).tobytes() == expected
+            step_normals(stream, step + 1, partial + 1)
+            assert step_normals(stream, step, count).tobytes() == expected
+            step_normals(stream, step + 1, partial + 1)
+            out = np.full(count, np.nan)
+            assert step_normals(stream, step, count, out=out) is out
+            assert out.tobytes() == expected
 
     @pytest.mark.parametrize("key, other", [
         ((2 ** 63 + 1, 0), (2 ** 63 + 2, 0)),
@@ -259,7 +269,8 @@ class TestStreamedNoise:
         # no float64 rounding of the key on the way into Philox.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not np.array_equal(step_normals(*key, 0, 8), step_normals(*other, 0, 8))
+            assert not np.array_equal(step_normals(NormalStream(*key), 0, 8),
+                                      step_normals(NormalStream(*other), 0, 8))
 
     def test_stream_rows_equal_fine_matrix(self):
         grid = NoiseGrid(n_modes=5, m_fine=6, tau_fine=1 / 6)
@@ -267,6 +278,7 @@ class TestStreamedNoise:
         for m in range(grid.m_fine):
             rows = stream.chunk(m, 1)[0]
             for row, s in zip(rows, (4, 2)):
+                assert row.tobytes() == oracle_increments(grid, 17, s, m).tobytes()
                 assert row.tobytes() == NoiseRealization(grid, 17, s).fine_matrix[m].tobytes()
 
 
@@ -391,7 +403,7 @@ class TestChunks:
             assert chunk.shape == (count, 2, 5)
             for m, rows in enumerate(chunk, first):
                 for row, s in zip(rows, (4, 2)):
-                    assert row.tobytes() == NoiseRealization(grid, 17, s).fine_matrix[m].tobytes()
+                    assert row.tobytes() == oracle_increments(grid, 17, s, m).tobytes()
 
     @pytest.mark.parametrize("first, count, step", [(8, 1, 8), (-1, 1, -1), (6, 4, 8),
                                                     (11, 2, 11)])
