@@ -5,7 +5,8 @@ Subcommands
 converge   Monte Carlo strong-error study (modes joint | spatial | temporal),
            CSV table and optional SVG log-log plot.
 simulate   One path at a single resolution; dumps grid-value snapshots as CSV.
-diagnose   Path-norm moment diagnostics across samples.
+diagnose   Path-norm moment diagnostics across samples; each resolution runs on
+           its own, with no reference resolution, once its tau = T/M is checked.
 
 Option precedence is defaults < config file < command-line flags.  The config
 file is flat ``key = value`` text with ``#`` comments; each value passes the
@@ -26,8 +27,7 @@ import os
 import sys
 
 from .errors import BlowupError, _integer, _real
-from .experiments import (MODES, RunConfig, _coupled_terminals, moment_diagnostics,
-                          strong_error_study)
+from .experiments import MODES, RunConfig, _coupled_terminals, _moments, strong_error_study
 from .model import ModelParams
 from .noise import NoiseGrid
 from .reporting import emit_csv, emit_loglog_plot, print_report, write_text
@@ -246,18 +246,15 @@ def _run_simulate(opts: dict) -> int:
 
 def _run_diagnose(opts: dict) -> int:
     params = _model_params(opts)
-    resolutions = opts["resolutions"]
-    if list(resolutions) != sorted(set(resolutions)):
+    if list(opts["resolutions"]) != sorted(set(opts["resolutions"])):
         raise UsageError("resolutions must be strictly ascending")
-    # Each resolution runs on its own, with the least reference it admits.
-    configs = [_usage(RunConfig, mode="joint", resolutions=(r,), ref_resolution=2 * r,
-                      samples=opts["samples"], master_seed=opts["seed"],
-                      horizon_T=opts["horizon"], params=params) for r in resolutions]
-    if opts["steps"]:
-        _usage(_real, "horizon / steps", opts["horizon"] / opts["steps"], "positive")
+    # Each resolution runs on its own noise, at its own step count.
+    runs = [(r, opts["steps"] or r) for r in opts["resolutions"]]
+    for _, n_steps in runs:
+        _usage(_real, "horizon / steps", opts["horizon"] / n_steps, "positive")
     _check_writable(opts["out"])
 
-    reports = [d for config in configs for d in moment_diagnostics(config, n_steps=opts["steps"])]
+    reports = [_usage(_moments, params, opts["seed"], opts["samples"], *run) for run in runs]
     lines = ["resolution,steps,tau,samples,sup_max,sup_mean,sup_p99,"
              "l2_max,l2_mean,l2_p99,max_drift_norm,blowups,all_finite"]
     for d in reports:

@@ -372,14 +372,12 @@ class MomentDiagnostics:
     all_finite: bool
 
 
-def _norm_block(config: RunConfig, n_modes: int, n_steps: int, samples: range,
-                tamed: bool, with_noise: bool) -> tuple[np.ndarray, int]:
-    """Sup, L2 and drift norms after every step of a block of paths.
-
-    Returns the norms, shape (3, observations) in sample-major order, and
-    the number of paths that blew up.  A block that blows up is rerun one
-    sample at a time, and a blown-up path keeps the steps it completed.
-    """
+def _norm_block(params: ModelParams, master_seed: int, samples: range, n_modes: int,
+                n_steps: int, tamed: bool, with_noise: bool) -> tuple[np.ndarray, int]:
+    """Sup, L2 and drift norms after every step of a block of paths, shape
+    (3, observations) in sample-major order, and how many of the paths blew
+    up.  A block that blows up is rerun one sample at a time, and a blown-up
+    path keeps the steps it completed."""
     norms = []
 
     def record(path: PathBlock, drift: np.ndarray) -> None:
@@ -387,19 +385,39 @@ def _norm_block(config: RunConfig, n_modes: int, n_steps: int, samples: range,
                       _row_norms(drift)[:, 0]))
 
     # The noise grid is the path's own resolution, so no coarsening is needed.
-    grid = NoiseGrid.for_horizon(config.horizon_T, n_steps, n_modes)
+    grid = NoiseGrid.for_horizon(params.horizon_T, n_steps, n_modes)
     blowups = 0
     try:
-        _coupled_terminals(config.params, grid, config.master_seed, samples, [(n_modes, n_steps)],
+        _coupled_terminals(params, grid, master_seed, samples, [(n_modes, n_steps)],
                            observe=record, with_noise=with_noise, tamed=tamed)
     except BlowupError:
         if len(samples) > 1:
-            rows = [_norm_block(config, n_modes, n_steps, samples[i:i + 1], tamed, with_noise)
-                    for i in range(len(samples))]
+            rows = [_norm_block(params, master_seed, samples[i:i + 1], n_modes, n_steps, tamed,
+                                with_noise) for i in range(len(samples))]
             return np.concatenate([r for r, _ in rows], axis=1), sum(b for _, b in rows)
         blowups = 1
     by_step = np.array(norms).reshape(-1, 3, len(samples))
     return by_step.transpose(1, 2, 0).reshape(3, -1), blowups
+
+
+def _moments(params: ModelParams, master_seed: int, samples: int, n_modes: int, n_steps: int,
+             *, tamed: bool = True, with_noise: bool = True) -> MomentDiagnostics:
+    """Path-norm statistics of `samples` paths of (n_modes, n_steps), in blocks
+    of samples; blown-up paths are counted rather than propagated.  Without
+    noise every sample follows the same path, so one is stepped for all."""
+    stepped = range(samples if with_noise else 1)
+    copies = samples // len(stepped)
+    blocks = [_norm_block(params, master_seed, stepped[i:i + _BLOCK_SAMPLES], n_modes, n_steps,
+                          tamed, with_noise) for i in stepped[::_BLOCK_SAMPLES]]
+    norms = np.tile(np.concatenate([b for b, _ in blocks], axis=1), copies)
+    sup, l2, drift = norms if norms.size else np.zeros((3, 1))
+    return MomentDiagnostics(
+        resolution=n_modes, n_steps=n_steps, tau=params.horizon_T / n_steps, samples=samples,
+        sup_max=float(sup.max()), sup_mean=float(sup.mean()), sup_p99=float(np.percentile(sup, 99)),
+        l2_max=float(l2.max()), l2_mean=float(l2.mean()), l2_p99=float(np.percentile(l2, 99)),
+        max_drift_norm=float(drift.max()), blowups=copies * sum(b for _, b in blocks),
+        all_finite=bool(np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))),
+    )
 
 
 def moment_diagnostics(config: RunConfig, n_steps: int | None = None, *,
@@ -408,30 +426,11 @@ def moment_diagnostics(config: RunConfig, n_steps: int | None = None, *,
     """Record sup-norm and L2 statistics over samples and steps.
 
     Runs one joint-style path per sample at every study resolution
-    (n_steps overrides the step count, e.g. to probe large step sizes),
-    in blocks of samples.  Blown-up paths are counted rather than
-    propagated, so an untamed run reports how many samples diverged.
-    Without noise every sample follows the same path, so one is stepped and
-    its norms and blowup count for all.
+    (n_steps overrides the step count, e.g. to probe large step sizes), so
+    an untamed run reports how many samples diverged.  The config's `mode`
+    and `ref_resolution` are not read: no path is compared with a reference.
     """
     if n_steps is not None:
         n_steps = _integer("n_steps", n_steps, 1)
-    reports = []
-    samples = range(config.samples if with_noise else 1)
-    copies = config.samples // len(samples)
-    for r in config.resolutions:
-        steps = n_steps if n_steps is not None else r
-        blocks = [_norm_block(config, r, steps, samples[i:i + _BLOCK_SAMPLES], tamed, with_noise)
-                  for i in samples[::_BLOCK_SAMPLES]]
-        norms = np.tile(np.concatenate([b for b, _ in blocks], axis=1), copies)
-        sup, l2, drift = norms if norms.size else np.zeros((3, 1))
-        reports.append(MomentDiagnostics(
-            resolution=r, n_steps=steps, tau=config.horizon_T / steps, samples=config.samples,
-            sup_max=float(sup.max()), sup_mean=float(sup.mean()),
-            sup_p99=float(np.percentile(sup, 99)),
-            l2_max=float(l2.max()), l2_mean=float(l2.mean()),
-            l2_p99=float(np.percentile(l2, 99)),
-            max_drift_norm=float(drift.max()), blowups=copies * sum(b for _, b in blocks),
-            all_finite=bool(np.all(np.isfinite(sup)) and np.all(np.isfinite(l2))),
-        ))
-    return tuple(reports)
+    return tuple(_moments(config.params, config.master_seed, config.samples, r, n_steps or r,
+                          tamed=tamed, with_noise=with_noise) for r in config.resolutions)

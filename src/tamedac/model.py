@@ -133,8 +133,8 @@ class _Segments:
         return np.divide(q, self.divisor, out=self.drift)
 
     def row_norms(self) -> np.ndarray:
-        """L2 norm of each segment of the drift buffer, (..., J), as spectral's
-        `_row_norms` gives it."""
+        """L2 norm of each segment of the drift buffer, (..., J), unscaled: as
+        spectral's `_row_norms` gives it where no square leaves the normal range."""
         for row, col, out in self.products:
             np.matmul(row, col, out=out)
         return np.sqrt(self.norms, out=self.norms)

@@ -202,10 +202,14 @@ def project(fld: SpectralField, n_target: int) -> SpectralField:
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """L2 norm of each row as a 1-d dot product, shape (..., 1).
 
-    Every entry equals np.linalg.norm of that row bit for bit, whatever the
-    other rows hold; a batched einsum would differ in the last bits.
+    Each row is scaled by a power of two to max |x| < 1, and the norm back,
+    so a row of 1e-300 does not square to 0.  Where no square leaves the
+    normal range, every entry equals np.linalg.norm of that row bit for bit,
+    whatever the other rows hold; a batched einsum would differ in the last bits.
     """
-    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0])
+    _, exponent = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    x = np.ldexp(x, -exponent)
+    return np.ldexp(np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0]), exponent)
 
 
 def _sup_norms(coeffs: np.ndarray) -> np.ndarray:

@@ -624,11 +624,41 @@ class TestDiagnoseCommand:
         def never(*args, **kwargs):
             raise AssertionError("the diagnostics ran before their output was checked")
 
-        monkeypatch.setattr(cli, "moment_diagnostics", never)
+        monkeypatch.setattr(cli, "_moments", never)
         code = main(["diagnose", "--resolutions", "8", "--samples", "2",
                      "--out", str(tmp_path / "no" / "x.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith("I/O error:")
+
+    # No run of diagnose has a reference: a horizon runs whenever its own
+    # step tau = T / M is positive, as in simulate.
+    @pytest.mark.parametrize("horizon", ["1e-323", "1.5e-323"])
+    def test_tiny_horizon_runs(self, horizon, tmp_path):
+        assert main(["diagnose", "--resolutions", "4", "--samples", "2", "--steps", "1",
+                     "--horizon", horizon, "--out", str(tmp_path / "d.csv")]) == 0
+
+    def test_underflowing_step_is_usage_error(self, capsys):
+        # tau = 5e-324 / 4 rounds to 0; the check names the run's own step.
+        assert main(["diagnose", "--resolutions", "4", "--horizon", "5e-324"]) == 2
+        assert ("error: horizon / steps must be positive and finite, got 0.0"
+                in capsys.readouterr().err)
+
+    def test_builds_no_run_config(self, tmp_path, monkeypatch):
+        import tamedac.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("diagnose built a RunConfig")
+
+        monkeypatch.setattr(cli, "RunConfig", never)
+        assert main(["diagnose", "--resolutions", "4,8", "--samples", "2", "--steps", "2",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+
+    # Past any array numpy can index: a usage error, with no allocation.
+    @pytest.mark.parametrize("resolution", [2 ** 62, 2 ** 63])
+    def test_unindexable_resolution_is_usage_error(self, resolution, capsys):
+        assert main(["diagnose", "--resolutions", str(resolution), "--samples", "1",
+                     "--steps", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_steps_rejected(self, steps, capsys):

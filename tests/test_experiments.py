@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -41,7 +42,7 @@ from tamedac.cli import main
 from tamedac.errors import BlowupError
 from tamedac.experiments import _study_block
 from tamedac.model import _Segments
-from tamedac.spectral import _sup_norms
+from tamedac.spectral import _row_norms, _sup_norms
 from tamedac.stepper import PathBlock
 
 from oracles import polyfit_slope
@@ -803,6 +804,18 @@ class TestMomentDiagnostics:
         oracle = per_sample_moments(config)
         assert all(0 < d.blowups < config.samples for d in oracle)
         assert moment_diagnostics(config) == oracle
+
+    def test_drift_norm_of_a_huge_step_does_not_underflow(self, double_well):
+        # A step of tau = 1e300 tames the drift to norm 1 / tau = 1e-300; its
+        # entries, near 7e-301 and 6e-317, square to 0 unless they are scaled.
+        params = replace(double_well, horizon_T=1e300)
+        config = small_config(params, resolutions=(4,), ref_resolution=8, samples=3,
+                              master_seed=0, horizon_T=1e300)
+        (report,) = moment_diagnostics(config, n_steps=1)
+        assert math.isclose(report.max_drift_norm, 1e-300, rel_tol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_row_norms(np.zeros((2, 5))), np.zeros((2, 1)))
 
     def test_rejects_nonpositive_step_count(self, double_well):
         config = small_config(double_well, samples=1)
