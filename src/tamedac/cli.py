@@ -9,14 +9,18 @@ diagnose   Path-norm moment diagnostics across samples; each resolution runs on
            its own, with no reference resolution, once its tau = T/M is checked.
 
 Option precedence is defaults < config file < command-line flags.  The config
-file is flat ``key = value`` text with ``#`` comments; each value passes the
+file is flat UTF-8 ``key = value`` text with ``#`` comments; each value passes the
 check of the flag of the same name.  Counts, the seed, the horizon and the
 drift coefficients are checked by ``errors._integer`` / ``_real`` under the
 library's name for their field (``--seed``: master_seed, ``--ref``:
 ref_resolution, ``--steps``: n_steps, ``--horizon``: horizon_T, ``--a3``: a3),
 so a bad value fails with the library's message after ``argument --<flag>:``
 (and ``path:lineno:`` on a config line).
-Exit codes: 0 success, 2 usage error or out of memory, 3 I/O error, 4 numerical blowup.
+Exit codes: 0 success, 2 rejected input, 3 I/O error, 4 numerical blowup.  Input is
+rejected when a library check fails, when a size is one numpy cannot allocate or
+index, and when a config file cannot be read or is not UTF-8.  ``main`` is the one
+place that maps exception types to exit codes: ``ValueError`` and ``MemoryError``
+to 2, ``OSError`` to 3, ``BlowupError`` to 4.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ from .spectral import _synthesize_raw, grid_points, project
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
 # The problem every option left unset takes from the library.
 DEFAULT_PARAMS = ModelParams.cubic_double_well()
-
-
-class UsageError(Exception):
-    pass
 
 
 def _checked(convert, check, name: str, *bounds):
@@ -130,16 +130,18 @@ def _read_config(path: str) -> dict:
                 key, sep, value = line.partition("=")
                 key, value = key.strip(), value.strip()
                 if not sep or not key or not value:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 try:
                     parsed, unknown = checker.parse_known_args([f"--{key}={value}"])
                 except argparse.ArgumentError as exc:
-                    raise UsageError(f"{path}:{lineno}: {exc}") from None
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if unknown:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 out[key] = getattr(parsed, key)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file: {path} is not UTF-8 ({exc.reason})") from None
     return out
 
 
@@ -171,14 +173,6 @@ def _check_writable(*paths: str | None) -> None:
             raise OSError(f"cannot write {path}: the file is not writable")
 
 
-def _usage(check, *args, **kwargs):
-    """`check(*args, **kwargs)`, with a ValueError reported as a usage error."""
-    try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _model_params(opts: dict) -> ModelParams:
     return dataclasses.replace(DEFAULT_PARAMS, a3=opts["a3"], a2=opts["a2"], a1=opts["a1"],
                                a0=opts["a0"], horizon_T=opts["horizon"])
@@ -186,17 +180,17 @@ def _model_params(opts: dict) -> ModelParams:
 
 def _run_converge(opts: dict) -> int:
     params = _model_params(opts)
-    config = _usage(RunConfig, mode=opts["mode"], resolutions=opts["resolutions"],
-                    ref_resolution=opts["ref"], samples=opts["samples"],
-                    master_seed=opts["seed"], horizon_T=opts["horizon"], params=params)
+    config = RunConfig(mode=opts["mode"], resolutions=opts["resolutions"],
+                       ref_resolution=opts["ref"], samples=opts["samples"],
+                       master_seed=opts["seed"], horizon_T=opts["horizon"], params=params)
     if len(config.resolutions) < 2:
-        raise UsageError("converge needs at least two resolutions to fit a slope")
+        raise ValueError("converge needs at least two resolutions to fit a slope")
     out, plot = opts["out"], opts["plot"]
     if out and plot and os.path.realpath(out) == os.path.realpath(plot):
-        raise UsageError(f"--out {out} and --plot {plot} name the same file")
+        raise ValueError(f"--out {out} and --plot {plot} name the same file")
     _check_writable(out, plot)
 
-    report = _usage(strong_error_study, config, threads=opts["threads"])
+    report = strong_error_study(config, threads=opts["threads"])
     print_report(report, sys.stdout)
     if out:
         emit_csv(report, out)
@@ -210,10 +204,10 @@ def _run_converge(opts: dict) -> int:
 def _run_simulate(opts: dict) -> int:
     params = _model_params(opts)
     if len(opts["resolutions"]) != 1:
-        raise UsageError("simulate takes a single resolution")
+        raise ValueError("simulate takes a single resolution")
     n_modes, = opts["resolutions"]
     n_steps = opts["steps"] or n_modes
-    tau = _usage(_real, "horizon / steps", opts["horizon"] / n_steps, "positive")
+    tau = _real("horizon / steps", opts["horizon"] / n_steps, "positive")
     _check_writable(opts["out"])
 
     # More than n_steps + 1 snapshot times round to every step all the same.
@@ -247,14 +241,14 @@ def _run_simulate(opts: dict) -> int:
 def _run_diagnose(opts: dict) -> int:
     params = _model_params(opts)
     if list(opts["resolutions"]) != sorted(set(opts["resolutions"])):
-        raise UsageError("resolutions must be strictly ascending")
+        raise ValueError("resolutions must be strictly ascending")
     # Each resolution runs on its own noise, at its own step count.
     runs = [(r, opts["steps"] or r) for r in opts["resolutions"]]
     for _, n_steps in runs:
-        _usage(_real, "horizon / steps", opts["horizon"] / n_steps, "positive")
+        _real("horizon / steps", opts["horizon"] / n_steps, "positive")
     _check_writable(opts["out"])
 
-    reports = [_usage(_moments, params, opts["seed"], opts["samples"], *run) for run in runs]
+    reports = [_moments(params, opts["seed"], opts["samples"], *run) for run in runs]
     lines = ["resolution,steps,tau,samples,sup_max,sup_mean,sup_p99,"
              "l2_max,l2_mean,l2_p99,max_drift_norm,blowups,all_finite"]
     for d in reports:
@@ -278,7 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         return run[opts["command"]](opts)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (UsageError, MemoryError) as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
     except BlowupError as exc:

@@ -141,6 +141,13 @@ class TestConfigFile:
     def test_missing_file_rejected(self):
         assert main(["converge", "--config", "/no/such/file.cfg"]) == 2
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"samples = 2\n\xff = 3\n")
+        assert main(["converge", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "Traceback" not in err
+
     # Config values go through the type of the flag of the same name, which
     # runs the library's check of the field it sets; a key of another command
     # (samples, ref and threads under simulate) is checked all the same.
@@ -593,6 +600,13 @@ class TestSimulateCommand:
         assert (f"argument --seed: master_seed must be an integer in [0, 2^64), got {seed}"
                 in capsys.readouterr().err)
 
+    # Past any array numpy can index: a usage error, with no allocation.
+    @pytest.mark.parametrize("resolution", [2 ** 62, 2 ** 63], ids=["2^62", "2^63"])
+    def test_unindexable_resolution_is_usage_error(self, resolution, capsys):
+        assert main(["simulate", "--resolutions", str(resolution), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDiagnoseCommand:
     def test_prints_and_writes_summary(self, tmp_path, capsys):
@@ -691,3 +705,23 @@ class TestDiagnoseCommand:
 ])
 def test_huge_drift_coefficient_runs(argv, tmp_path):
     assert main([*argv.split(), "--out", str(tmp_path / "out.csv")]) == 0
+
+
+# A ValueError from any runner's work, whatever raises it, is one line and exit 2.
+@pytest.mark.parametrize("argv, work", [
+    (["converge", "--resolutions", "2,4", "--ref", "8", "--samples", "2"], "strong_error_study"),
+    (["simulate", "--resolutions", "4", "--steps", "2"], "_coupled_terminals"),
+    (["diagnose", "--resolutions", "4", "--samples", "2"], "_moments"),
+], ids=["converge", "simulate", "diagnose"])
+@pytest.mark.parametrize("error, message", [(ValueError("synthetic"), "synthetic"),
+                                            (ValueError(), "")], ids=["message", "empty"])
+def test_value_error_is_a_usage_error(argv, work, error, message, monkeypatch, capsys):
+    import tamedac.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, work, fail)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
