@@ -9,13 +9,13 @@ diagnose   Path-norm moment diagnostics across samples; each resolution runs on
            its own, with no reference resolution, once its tau = T/M is checked.
 
 Option precedence is defaults < config file < command-line flags.  The config
-file is flat UTF-8 ``key = value`` text with ``#`` comments; each value passes the
-check of the flag of the same name.  Counts, the seed, the horizon and the
-drift coefficients are checked by ``errors._integer`` / ``_real`` under the
-library's name for their field (``--seed``: master_seed, ``--ref``:
-ref_resolution, ``--steps``: n_steps, ``--horizon``: horizon_T, ``--a3``: a3),
-so a bad value fails with the library's message after ``argument --<flag>:``
-(and ``path:lineno:`` on a config line).
+file is flat UTF-8 ``key = value`` text with ``#`` comments, a leading byte-order
+mark allowed; each value passes the check of the flag of the same name.  Counts,
+the seed, the horizon and the drift coefficients are checked by ``errors._integer``
+/ ``_real`` under the library's name for their field (``--seed``: master_seed,
+``--ref``: ref_resolution, ``--steps``: n_steps, ``--horizon``: horizon_T,
+``--a3``: a3), so a bad value fails with the library's message after
+``argument --<flag>:`` (and ``path:lineno:`` on a config line).
 Exit codes: 0 success, 2 rejected input, 3 I/O error, 4 numerical blowup.  Input is
 rejected when a library check fails, when a size is one numpy cannot allocate or
 index, and when a config file cannot be read or is not UTF-8.  ``main`` is the one
@@ -34,7 +34,7 @@ from .errors import BlowupError, _integer, _real
 from .experiments import MODES, RunConfig, _coupled_terminals, _moments, strong_error_study
 from .model import ModelParams
 from .noise import NoiseGrid
-from .reporting import emit_csv, emit_loglog_plot, print_report, write_text
+from .reporting import csv_text, emit_csv, emit_loglog_plot, print_report, write_text
 from .spectral import _synthesize_raw, grid_points, project
 
 USAGE_ERROR, IO_ERROR, BLOWUP_ERROR = 2, 3, 4
@@ -122,7 +122,7 @@ def _read_config(path: str) -> dict:
                                                    exit_on_error=False), None)
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -226,10 +226,7 @@ def _run_simulate(opts: dict) -> int:
     render = 4 * n_modes
     x = grid_points(render)
     columns = [_synthesize_raw(coeffs, render) for coeffs in snapshots.values()]
-    lines = ["x," + ",".join(f"t={m * tau:.6g}" for m in snapshots)]
-    for k in range(render):
-        lines.append(",".join([f"{x[k]:.8g}"] + [f"{col[k]:.8g}" for col in columns]))
-    text = "\n".join(lines) + "\n"
+    text = csv_text("x," + ",".join(f"t={m * tau:.6g}" for m in snapshots), zip(x, *columns))
     if opts["out"]:
         write_text(opts["out"], text)
         print(f"wrote {opts['out']}")
@@ -249,18 +246,16 @@ def _run_diagnose(opts: dict) -> int:
     _check_writable(opts["out"])
 
     reports = [_moments(params, opts["seed"], opts["samples"], *run) for run in runs]
-    lines = ["resolution,steps,tau,samples,sup_max,sup_mean,sup_p99,"
-             "l2_max,l2_mean,l2_p99,max_drift_norm,blowups,all_finite"]
     for d in reports:
         print(f"resolution {d.resolution} (steps {d.n_steps}, tau {d.tau:.6g}): "
               f"sup max {d.sup_max:.4g} mean {d.sup_mean:.4g} p99 {d.sup_p99:.4g} | "
               f"l2 max {d.l2_max:.4g} mean {d.l2_mean:.4g} p99 {d.l2_p99:.4g} | "
               f"max drift norm {d.max_drift_norm:.4g} (1/tau = {1 / d.tau:.4g}) | "
               f"blowups {d.blowups} | finite {d.all_finite}")
-        lines.append(",".join(f"{v:.8g}" if isinstance(v, float) else str(v)
-                              for v in dataclasses.astuple(d)))
     if opts["out"]:
-        write_text(opts["out"], "\n".join(lines) + "\n")
+        write_text(opts["out"], csv_text("resolution,steps,tau,samples,sup_max,sup_mean,sup_p99,"
+                                         "l2_max,l2_mean,l2_p99,max_drift_norm,blowups,all_finite",
+                                         map(dataclasses.astuple, reports)))
         print(f"wrote {opts['out']}")
     return 0
 

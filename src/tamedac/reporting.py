@@ -1,29 +1,33 @@
 """CSV tables and self-contained SVG log-log plots for error reports.
 
-Plots are written as data-complete SVG text so figures stay diff-able and
-the package needs no plotting dependency at runtime.
+:func:`csv_text` formats every CSV table the package writes and holds the one
+field rule.  Plots are written as data-complete SVG text so figures stay
+diff-able and the package needs no plotting dependency at runtime.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .experiments import ErrorPoint, ErrorReport
 
-_FLOAT = "{:.8g}"
 _HEADER = "resolution,rms_error,mc_std_error,samples"
 
 
+def _field(value) -> str:
+    """A float (numpy's float64 too) to 8 significant digits, anything else by str."""
+    return f"{value:.8g}" if isinstance(value, float) else str(value)
+
+
+def csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    """`header`, then one comma-joined line of fields per row; every line ends with LF."""
+    return "\n".join([header, *(",".join(map(_field, row)) for row in rows)]) + "\n"
+
+
 def format_csv(report: ErrorReport) -> str:
-    lines = [_HEADER]
-    for p in report.points:
-        lines.append(
-            f"{p.resolution},{_FLOAT.format(p.rms_error)},"
-            f"{_FLOAT.format(p.mc_std_error)},{report.samples}"
-        )
-    lines.append(f"# fitted_slope={_FLOAT.format(report.fitted_slope)}")
-    return "\n".join(lines) + "\n"
+    rows = ((p.resolution, p.rms_error, p.mc_std_error, report.samples) for p in report.points)
+    return csv_text(_HEADER, rows) + f"# fitted_slope={_field(report.fitted_slope)}\n"
 
 
 def write_text(path: str, text: str) -> None:

@@ -10,7 +10,7 @@ import pytest
 from tamedac import ErrorPoint, ErrorReport, load_error_csv
 from tamedac.cli import main, parse_options
 from tamedac.errors import BlowupError
-from tamedac.reporting import emit_csv, emit_loglog_plot, format_csv
+from tamedac.reporting import csv_text, emit_csv, emit_loglog_plot, format_csv
 
 CSV_HEADER = "resolution,rms_error,mc_std_error,samples\n"
 
@@ -147,6 +147,11 @@ class TestConfigFile:
         assert main(["converge", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(cfg) in err and "Traceback" not in err
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsamples = 2\n")
+        assert parse_options(["converge", "--config", str(cfg)])["samples"] == 2
 
     # Config values go through the type of the flag of the same name, which
     # runs the library's check of the field it sets; a key of another command
@@ -299,6 +304,15 @@ class TestCsv:
         assert lines[-2].startswith("# fitted_slope=")
         assert lines[-1] == ""          # newline terminated
         assert all(line == line.rstrip() for line in lines)
+
+    def test_csv_text_writes_floats_to_8_digits_and_other_values_by_str(self):
+        text = csv_text("a,b,c,d", [(np.float64(1 / 3), 2 / 3, 12345678901, True),
+                                    (np.float64(-1.25e-7), 1e300, -7, False)])
+        assert text == ("a,b,c,d\n0.33333333,0.66666667,12345678901,True\n"
+                        "-1.25e-07,1e+300,-7,False\n")
+
+    def test_csv_text_without_rows_is_the_header_line(self):
+        assert csv_text("x,t=0", []) == "x,t=0\n"
 
     def test_round_trip_at_printed_precision(self, tmp_path):
         report = make_report()

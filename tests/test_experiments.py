@@ -485,6 +485,21 @@ class TestStrongErrorStudy:
             assert point.mc_std_error > 0
             assert point.mc_std_error == pytest.approx(expected, rel=1e-12)
 
+    def test_errors_scale_with_sqrt_horizon_down_to_the_normal_limit(self, double_well):
+        # Down to a horizon at float64's normal limit, every error is the
+        # 3e-200 one times sqrt(T / 3e-200).  Below it the step T / ref is
+        # subnormal and carries fewer bits, which moves the errors themselves.
+        def report(horizon):
+            return strong_error_study(small_config(
+                double_well, resolutions=(2, 4), ref_resolution=8, samples=3, master_seed=0,
+                horizon_T=horizon, params=replace(double_well, horizon_T=horizon)))
+
+        base, tiny = report(3e-200), report(2.3e-308)
+        scale = math.sqrt(2.3e-308 / 3e-200)
+        for small, big in zip(tiny.points, base.points):
+            assert small.rms_error / big.rms_error == pytest.approx(scale, rel=1e-12)
+            assert small.mc_std_error / big.mc_std_error == pytest.approx(scale, rel=1e-12)
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_nonpositive_threads(self, double_well, threads):
         with pytest.raises(ValueError, match="threads must be an integer"):
