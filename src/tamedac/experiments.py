@@ -355,7 +355,12 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MomentDiagnostics:
-    """Path-norm statistics of one (n_modes, n_steps) configuration."""
+    """Path-norm statistics of one (n_modes, n_steps) configuration.
+
+    `all_finite` reads True whenever these are returned, so on every `diagnose`
+    that exits 0: norms are recorded only after a step completes, a step whose
+    coefficients are non-finite or above BLOWUP_THRESHOLD raises first, and
+    with no step recorded the norms are zeros."""
 
     resolution: int
     n_steps: int

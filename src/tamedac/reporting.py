@@ -93,13 +93,17 @@ def _svg_text(report: ErrorReport) -> str:
 
     x_mean = sum(xs) / len(xs)
     y_mean = sum(ys) / len(ys)
-    # fitted_slope is measured against log2(1/resolution), so the line drawn
-    # against log2(resolution) falls with slope -fitted_slope.
-    def fit_y(x: float) -> float:
-        return y_mean - report.fitted_slope * (x - x_mean)
-
-    def guide_y(x: float) -> float:
-        return (y_mean + 0.45) - 0.5 * (x - x_mean)
+    # Each mark once, as (line, style, legend label); a line is its (slope,
+    # rise above the centroid) in log2 units.  fitted_slope is measured against
+    # log2(1/resolution), so the fit drawn against log2(resolution) falls with
+    # slope -fitted_slope.
+    marks = [
+        (None, 'r="4" fill="#1f77b4"', "measured error"),
+        ((report.fitted_slope, 0.0), 'stroke="#d62728" stroke-width="1.5"',
+         f"fit: slope {report.fitted_slope:.3f}"),
+        ((0.5, 0.45), 'stroke="#7f7f7f" stroke-width="1.2" stroke-dasharray="6 4"',
+         "slope 1/2 guide"),
+    ]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -140,42 +144,31 @@ def _svg_text(report: ErrorReport) -> str:
         "rms error</text>"
     )
 
-    fit_pts = f"{sx(x_lo):.2f},{sy(fit_y(x_lo)):.2f} {sx(x_hi):.2f},{sy(fit_y(x_hi)):.2f}"
-    parts.append(
-        f'<polyline points="{fit_pts}" fill="none" stroke="#d62728" stroke-width="1.5"/>'
-    )
-    guide_pts = f"{sx(x_lo):.2f},{sy(guide_y(x_lo)):.2f} {sx(x_hi):.2f},{sy(guide_y(x_hi)):.2f}"
-    parts.append(
-        f'<polyline points="{guide_pts}" fill="none" stroke="#7f7f7f" '
-        'stroke-width="1.2" stroke-dasharray="6 4"/>'
-    )
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle class="pt" cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="#1f77b4"/>'
-        )
+    (_, point, _), *lines = marks
+    for (slope, rise), style, _ in lines:
+        ends = " ".join(f"{sx(x):.2f},{sy(y_mean + rise - slope * (x - x_mean)):.2f}"
+                        for x in (x_lo, x_hi))
+        parts.append(f'<polyline points="{ends}" fill="none" {style}/>')
+    parts.extend(f'<circle class="pt" cx="{sx(x):.2f}" cy="{sy(y):.2f}" {point}/>'
+                 for x, y in zip(xs, ys))
 
+    # One legend entry per mark, 18 px apart; each swatch sits 4 px above its text.
     lx, ly = width - mr - 190, mt + 14
-    parts.append(
-        f'<circle cx="{lx:.2f}" cy="{ly - 4:.2f}" r="4" fill="#1f77b4"/>'
-        f'<text x="{lx + 10:.2f}" y="{ly:.2f}" font-size="12">measured error</text>'
-    )
-    parts.append(
-        f'<line x1="{lx - 6:.2f}" y1="{ly + 14:.2f}" x2="{lx + 6:.2f}" y2="{ly + 14:.2f}" '
-        f'stroke="#d62728" stroke-width="1.5"/>'
-        f'<text x="{lx + 10:.2f}" y="{ly + 18:.2f}" font-size="12">'
-        f"fit: slope {report.fitted_slope:.3f}</text>"
-    )
-    parts.append(
-        f'<line x1="{lx - 6:.2f}" y1="{ly + 32:.2f}" x2="{lx + 6:.2f}" y2="{ly + 32:.2f}" '
-        f'stroke="#7f7f7f" stroke-width="1.2" stroke-dasharray="6 4"/>'
-        f'<text x="{lx + 10:.2f}" y="{ly + 36:.2f}" font-size="12">slope 1/2 guide</text>'
-    )
+    for i, (line, style, label) in enumerate(marks):
+        y = ly + 18 * i
+        swatch = (f'<circle cx="{lx:.2f}" cy="{y - 4:.2f}" {style}/>' if line is None else
+                  f'<line x1="{lx - 6:.2f}" y1="{y - 4:.2f}" x2="{lx + 6:.2f}" y2="{y - 4:.2f}" '
+                  f'{style}/>')
+        parts.append(f'{swatch}<text x="{lx + 10:.2f}" y="{y:.2f}" font-size="12">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def emit_loglog_plot(report: ErrorReport, path: str) -> None:
-    """Write a standalone SVG with the points, the fit and a slope-1/2 guide."""
+    """Write a standalone log2-log2 SVG.  Each point is at (log2 resolution,
+    log2 rms_error), the resolution being N or M as the mode says; the
+    least-squares fit passes through the points' centroid with slope
+    -fitted_slope, and the guide falls with slope 1/2, 0.45 above the centroid."""
     write_text(path, _svg_text(report))
 
 

@@ -377,6 +377,18 @@ class TestSvg:
         emit_loglog_plot(report, str(path))
         assert "slope 0.517" in path.read_text()
 
+    # sha256 prefixes of plots written before the marks were drawn from one
+    # table: a change of any byte of the figure fails here.
+    @pytest.mark.parametrize("report, digest", [
+        (make_report(), "7713a73531a0c2a7"),
+        (make_report(points=(ErrorPoint(4, 0.1, 0.01), ErrorPoint(8, 0.1, 0.01)), slope=0.0),
+         "30cc9e17206f5d7c"),
+    ])
+    def test_svg_bytes_are_pinned(self, tmp_path, report, digest):
+        path = tmp_path / "plot.svg"
+        emit_loglog_plot(report, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
 
 class TestConvergeCommand:
     BASE = ["converge", "--resolutions", "4,8", "--ref", "32",
