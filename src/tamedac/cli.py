@@ -18,9 +18,11 @@ the seed, the horizon and the drift coefficients are checked by ``errors._intege
 ``argument --<flag>:`` (and ``path:lineno:`` on a config line).
 Exit codes: 0 success, 2 rejected input, 3 I/O error, 4 numerical blowup.  Input is
 rejected when a library check fails, when a size is one numpy cannot allocate or
-index, and when a config file cannot be read or is not UTF-8.  ``main`` is the one
-place that maps exception types to exit codes: ``ValueError`` and ``MemoryError``
-to 2, ``OSError`` to 3, ``BlowupError`` to 4.
+index, and when a config file cannot be read or is not UTF-8.  Exit 3 covers an
+output that cannot be written and a worker process of ``converge --threads`` that
+cannot start or that ends without its report.  ``main`` is the one place that maps
+exception types to exit codes: ``ValueError`` and ``MemoryError`` to 2, ``OSError``
+to 3, ``BlowupError`` to 4.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ on the same loop, reading each step through an observer.
 
 A study with more than one worker splits its samples into contiguous
 shares: the first is computed in the calling process, each other one in a
-child made by os.fork that pickles its rows back through a pipe.
+child made by os.fork that pickles its rows back through a pipe.  A child
+that cannot start, or that ends without its report, raises an OSError.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
 from typing import BinaryIO, Callable, Sequence
@@ -124,11 +126,11 @@ def resolution_pair(mode: str, resolution: int, ref_resolution: int) -> tuple[in
 def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
                        samples: range, pairs: list[tuple[int, int]], *,
                        observe: Callable | None = None, with_noise: bool = True,
-                       **options) -> list[np.ndarray]:
+                       tamed: bool = True) -> list[np.ndarray]:
     """Terminal coefficients, shape (len(samples), N_j), of each (N_j, M_j) pair
-    on the samples' noise, streamed on `grid`; consecutive pairs that share a
-    step count are segments of one block, built with the :class:`PathBlock`
-    `options`.
+    on the samples' noise, streamed on `grid`, by the tamed scheme or, with
+    `tamed` False, the untamed one; consecutive pairs that share a step count
+    are segments of one block.
 
     The noise is drawn in chunks of consecutive fine steps, and each block
     in turn takes a chunk through its :class:`Coarsener` and steps once for
@@ -142,7 +144,7 @@ def _coupled_terminals(params: ModelParams, grid: NoiseGrid, master_seed: int,
     blocks, workspaces = [], {}
     for n_steps, group in groupby(pairs, key=lambda pair: pair[1]):
         modes = [n for n, _ in group]
-        path = PathBlock.at_initial_data(params, modes, n_steps, samples, **options)
+        path = PathBlock.at_initial_data(params, modes, n_steps, samples, tamed=tamed)
         path.share_workspace(workspaces)
         blocks.append((Coarsener(grid, max(modes), n_steps), path))
     # The chunk divides every substep count, so it closes at most one interval
@@ -193,25 +195,23 @@ def sample_squared_errors(config: RunConfig, sample_index: int) -> np.ndarray:
 
 
 def _study_block(config: RunConfig, first: int, count: int) -> np.ndarray:
-    """Squared errors of samples first .. first + count - 1.
+    """Squared errors of samples first .. first + count - 1, computed in
+    blocks of at most _BLOCK_SAMPLES; stops at the first block that fails.
 
     A block that blows up is rerun one sample at a time, so a blowup is
     reported for the lowest-indexed sample that blows up.
     """
-    try:
-        return _block_squared_errors(config, range(first, first + count))
-    except BlowupError as exc:
-        if count > 1:
-            return np.concatenate([_study_block(config, s, 1) for s in range(first, first + count)])
-        raise BlowupError(f"sample {first} blew up: {exc}",
-                          step_index=exc.step_index, sample_index=first) from exc
-
-
-def _share_rows(config: RunConfig, first: int, count: int) -> np.ndarray:
-    """Squared errors of samples first .. first + count - 1, computed in
-    blocks of at most _BLOCK_SAMPLES; stops at the first block that fails."""
-    return np.concatenate([_study_block(config, s, min(_BLOCK_SAMPLES, first + count - s))
-                           for s in range(first, first + count, _BLOCK_SAMPLES)])
+    rows = []
+    for start in range(first, first + count, _BLOCK_SAMPLES):
+        samples = range(start, min(start + _BLOCK_SAMPLES, first + count))
+        try:
+            rows.append(_block_squared_errors(config, samples))
+        except BlowupError as exc:
+            if len(samples) == 1:
+                raise BlowupError(f"sample {start} blew up: {exc}",
+                                  step_index=exc.step_index, sample_index=start) from exc
+            rows += [_study_block(config, s, 1) for s in samples]
+    return np.concatenate(rows)
 
 
 def _fork_share(config: RunConfig, first: int, count: int) -> tuple[int, BinaryIO]:
@@ -235,7 +235,7 @@ def _fork_share(config: RunConfig, first: int, count: int) -> tuple[int, BinaryI
     status = 1
     try:
         try:
-            report = pickle.dumps(_share_rows(config, first, count))
+            report = pickle.dumps(_study_block(config, first, count))
         except BaseException as exc:
             report = pickle.dumps(exc)
         with os.fdopen(write, "wb") as pipe:
@@ -251,8 +251,10 @@ def _study_rows(config: RunConfig, threads: int) -> np.ndarray:
     The samples are split into min(threads, samples) contiguous shares, as
     equal as possible.  Share 0 runs in this process and each other share
     in a child forked for it; without os.fork there is one share.  The
-    failure of the lowest-indexed failing share is raised.  If this process
-    fails or is interrupted, every child is killed and reaped first.
+    failure of the lowest-indexed failing share is raised, or an OSError
+    naming the samples of a child that cannot start or that ends without
+    its report.  If this process fails or is interrupted, every child is
+    killed and reaped first.
     """
     workers = min(threads, config.samples) if hasattr(os, "fork") else 1
     size, extra = divmod(config.samples, workers)
@@ -263,7 +265,7 @@ def _study_rows(config: RunConfig, threads: int) -> np.ndarray:
         for first, count in shares[1:]:
             pid, pipe = _fork_share(config, first, count)
             children[pid] = pipe
-        rows = [_share_rows(config, *shares[0])]
+        rows = [_study_block(config, *shares[0])]
         for (first, count), pid in zip(shares[1:], list(children)):
             report = children[pid].read()
             children[pid].close()
@@ -271,9 +273,9 @@ def _study_rows(config: RunConfig, threads: int) -> np.ndarray:
             del children[pid]
             if status:
                 ending = f"exit status {status}" if status >= 0 else f"signal {-status}"
-                raise RuntimeError(f"the process computing samples {first} .. "
-                                   f"{first + count - 1} ended with {ending} "
-                                   "before reporting its rows")
+                raise ChildProcessError(f"the process computing samples {first} .. "
+                                        f"{first + count - 1} ended with {ending} "
+                                        "before reporting its rows")
             share = pickle.loads(report)
             if isinstance(share, BaseException):
                 raise share
@@ -281,15 +283,11 @@ def _study_rows(config: RunConfig, threads: int) -> np.ndarray:
     except BaseException:
         for pid, pipe in children.items():
             pipe.close()
-            try:
+            with suppress(ProcessLookupError):
                 os.kill(pid, 9)  # SIGKILL
-            except ProcessLookupError:
-                pass
         for pid in children:
-            try:
+            with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
         raise
     return np.concatenate(rows)
 

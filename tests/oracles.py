@@ -10,14 +10,16 @@ eigenvalues),
 the slope oracle goes through numpy's polynomial fit, the keyed normals
 come from a fresh Philox generator per draw, the moments of the
 Ornstein-Uhlenbeck tail are plain sums of the mode variances they are given,
-and those of a linear drift's temporal error are sums over the scalar
-recursion of each mode.
+those of a linear drift's temporal error are sums over the scalar
+recursion of each mode, and those of the one-mode Galerkin system's
+invariant law are quadratures of its closed-form density.
 """
 
 import math
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.integrate import quad
 
 
 def cubic_sine_expansion(coeffs: np.ndarray) -> np.ndarray:
@@ -212,3 +214,22 @@ def linear_drift_error_moments(c0: np.ndarray, a1: float, horizon: float, ref: i
     s2 = -np.expm1(-2.0 * lam * tau_f) / (2.0 * lam) * ((g_c - g_ref) ** 2).sum(axis=1)
     mu2 = ((a_c ** n_steps - a_f ** ref) * c0) ** 2
     return float((mu2 + s2).sum()), float((2.0 * s2 * s2 + 4.0 * mu2 * s2).sum())
+
+
+def galerkin_invariant_moments(a3: float, a1: float) -> tuple[float, float]:
+    """E c^2 and E c^4 under the invariant law of the one-mode Galerkin system.
+
+    With u = c sqrt(2) sin(pi x) and f(v) = a3 v^3 + a1 v, the projection of
+    f(u) onto the mode is a1 c + (3/2) a3 c^3, since the integral of
+    (sqrt(2) sin(pi x))^4 over [0, 1] is 3/2.  So dc = (-pi^2 c + a1 c +
+    (3/2) a3 c^3) dt + dW is the gradient SDE of the potential V(c) =
+    (pi^2 - a1) c^2 / 2 - (3/8) a3 c^4, whose invariant density is
+    proportional to exp(-2 V(c)) = exp(-(pi^2 - a1) c^2 + (3/4) a3 c^4).
+    Its moments are quadratures over the real line.
+    """
+    def density(c: float) -> float:
+        return math.exp(-(math.pi ** 2 - a1) * c * c + 0.75 * a3 * c ** 4)
+
+    mass = quad(density, -math.inf, math.inf)[0]
+    return tuple(quad(lambda c: c ** k * density(c), -math.inf, math.inf)[0] / mass
+                 for k in (2, 4))

@@ -564,15 +564,25 @@ class TestShares:
         (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
     ])
     def test_child_that_dies_without_a_report_names_its_status(self, double_well, monkeypatch,
-                                                               forked, die, ending):
+                                                               forked, capsys, die, ending):
         def block(config, first, count):
             if first > 0:
                 die()
             return np.zeros((count, len(config.resolutions)))
 
         monkeypatch.setattr(experiments, "_study_block", block)
-        with pytest.raises(RuntimeError, match=f"samples 4 .. 7 ended with {ending} "):
+        with pytest.raises(ChildProcessError, match=f"samples 4 .. 7 ended with {ending} "):
             strong_error_study(small_config(double_well), threads=2)
+        assert len(forked) == 1
+        assert_reaped(forked)
+        forked.clear()
+        # main reports it as an I/O error, exit 3, with no traceback.
+        assert main(["converge", "--resolutions", "4,8", "--ref", "16", "--samples", "4",
+                     "--threads", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: the process computing samples 2 .. 3 ended with "
+                              f"{ending} before reporting its rows")
+        assert "Traceback" not in err
         assert len(forked) == 1
         assert_reaped(forked)
 
